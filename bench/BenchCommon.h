@@ -27,18 +27,17 @@
 /// CompileError); runMatrix reports the cell on stderr and keeps
 /// evaluating the remaining items instead of killing the binary.
 ///
-/// Containment contract (degrade-don't-die, see docs/ROBUSTNESS.md):
-/// with FPINT_SANDBOX=1 -- or automatically whenever FPINT_FAULT is
-/// armed -- every matrix cell runs in its own forked child under
-/// support::Subprocess limits. A cell that crashes, hangs, or runs out
-/// of memory is retried with backoff (FPINT_CELL_RETRIES, default 2
-/// retries) and finally degrades to a row of ERR cells; the table
-/// still renders, the per-binary footer lists every degraded cell, and
-/// the binary exits nonzero only under --strict / FPINT_STRICT=1
-/// (bench::harnessExit()). Sandboxed cells are dispatched serially
-/// from the orchestration thread (forking from pool workers is not
-/// fork-safe) and do not contribute telemetry records: the child's
-/// StatsRegistry dies with it.
+/// Containment contract (degrade-don't-die): with FPINT_SANDBOX=1 --
+/// or automatically whenever FPINT_FAULT is armed -- every matrix cell
+/// runs through support::Supervised in its own forked child (limits,
+/// retries and backoff: docs/ROBUSTNESS.md, "Supervised execution")
+/// and a cell that still fails degrades to a row of ERR cells; the
+/// table still renders, the per-binary footer lists every degraded
+/// cell, and the binary exits nonzero only under --strict /
+/// FPINT_STRICT=1 (bench::harnessExit()). Sandboxed cells are
+/// dispatched serially from the orchestration thread and do not
+/// contribute telemetry records: the child's StatsRegistry dies with
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +48,7 @@
 #include "core/RunCache.h"
 #include "stats/StatsRegistry.h"
 #include "support/FaultInject.h"
+#include "support/Json.h"
 #include "support/Subprocess.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
@@ -60,9 +60,9 @@
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace fpint {
@@ -178,62 +178,6 @@ using MatrixRows = std::vector<std::vector<std::string>>;
 
 namespace detail {
 
-/// Length-prefixed (u32 LE) framing of a cell's rows over the
-/// sandbox payload pipe: numRows, then per row numCells, then per
-/// cell length + bytes.
-inline void packU32(std::string &Out, uint32_t V) {
-  char B[4] = {static_cast<char>(V), static_cast<char>(V >> 8),
-               static_cast<char>(V >> 16), static_cast<char>(V >> 24)};
-  Out.append(B, 4);
-}
-
-inline bool unpackU32(const std::string &In, size_t &Pos, uint32_t &V) {
-  if (Pos + 4 > In.size())
-    return false;
-  V = static_cast<uint8_t>(In[Pos]) |
-      (static_cast<uint8_t>(In[Pos + 1]) << 8) |
-      (static_cast<uint8_t>(In[Pos + 2]) << 16) |
-      (static_cast<uint32_t>(static_cast<uint8_t>(In[Pos + 3])) << 24);
-  Pos += 4;
-  return true;
-}
-
-inline std::string packRows(const MatrixRows &Rows) {
-  std::string Out;
-  packU32(Out, static_cast<uint32_t>(Rows.size()));
-  for (const std::vector<std::string> &R : Rows) {
-    packU32(Out, static_cast<uint32_t>(R.size()));
-    for (const std::string &C : R) {
-      packU32(Out, static_cast<uint32_t>(C.size()));
-      Out += C;
-    }
-  }
-  return Out;
-}
-
-inline bool unpackRows(const std::string &In, MatrixRows &Rows) {
-  size_t Pos = 0;
-  uint32_t NumRows = 0;
-  if (!unpackU32(In, Pos, NumRows))
-    return false;
-  Rows.clear();
-  for (uint32_t R = 0; R < NumRows; ++R) {
-    uint32_t NumCells = 0;
-    if (!unpackU32(In, Pos, NumCells))
-      return false;
-    std::vector<std::string> Row;
-    for (uint32_t C = 0; C < NumCells; ++C) {
-      uint32_t Len = 0;
-      if (!unpackU32(In, Pos, Len) || Pos + Len > In.size())
-        return false;
-      Row.emplace_back(In, Pos, Len);
-      Pos += Len;
-    }
-    Rows.push_back(std::move(Row));
-  }
-  return Pos == In.size();
-}
-
 /// Display label for a degraded item: its .Name when it has one
 /// (workloads), otherwise "<What> #<Index>".
 template <typename Item>
@@ -244,57 +188,72 @@ std::string itemLabel(const Item &I, const char *What, size_t Index) {
     return std::string(What) + " #" + std::to_string(Index);
 }
 
-/// Runs one matrix cell in a forked child under sandbox limits, with
-/// bounded retry-with-backoff. Returns true with the unpacked rows on
-/// success; false with \p Err describing the final failure.
-template <typename Item, typename RowFn>
-bool runCellSandboxed(const Item &I, RowFn &Row, MatrixRows &Rows,
-                      std::string &Err) {
-  support::SandboxLimits Limits;
-  Limits.WallMs = envInt("FPINT_CELL_TIMEOUT_MS", 120000);
-  Limits.KillGraceMs = envInt("FPINT_CELL_KILL_GRACE_MS", 500);
-  Limits.AddressSpaceMb =
-      static_cast<uint64_t>(envInt("FPINT_CELL_AS_MB", 4096));
-  const int Attempts = 1 + std::max(0, envInt("FPINT_CELL_RETRIES", 2));
-
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    // Set pre-fork so the child inherits its attempt number; ":once"
-    // fault specs use it to model transient failures a retry clears.
-    support::fault::setAttempt(static_cast<unsigned>(Attempt));
-    support::TaskResult R = support::Subprocess::run(
-        [&](int PayloadFd) {
-          support::fault::inject("cell");
-          try {
-            MatrixRows CellRows = Row(I);
-            return support::Subprocess::writeAll(PayloadFd,
-                                                 packRows(CellRows))
-                       ? 0
-                       : 2;
-          } catch (const std::exception &E) {
-            std::fprintf(stderr, "%s\n", E.what());
-            return 3;
-          }
-        },
-        Limits);
-    support::fault::setAttempt(1);
-
-    if (R.ok() && unpackRows(R.Payload, Rows))
-      return true;
-
-    Err = R.ok() ? std::string("malformed cell payload") : R.describe();
-    if (!R.StderrTail.empty()) {
-      std::string Tail = R.StderrTail;
-      if (!Tail.empty() && Tail.back() == '\n')
-        Tail.pop_back();
-      size_t Line = Tail.rfind('\n');
-      Err += ": " + (Line == std::string::npos ? Tail
-                                               : Tail.substr(Line + 1));
-    }
-    if (Attempt < Attempts)
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(50 * Attempt));
+/// How one matrix cell runs: in a sandbox child under the
+/// FPINT_CELL_* limits with retries, or in-process on a pool worker.
+inline support::Supervised::Policy cellPolicy(bool Sandbox) {
+  support::Supervised::Policy P;
+  P.InProcess = !Sandbox;
+  if (Sandbox) {
+    P.Limits.WallMs = envInt("FPINT_CELL_TIMEOUT_MS", 120000);
+    P.Limits.KillGraceMs = envInt("FPINT_CELL_KILL_GRACE_MS", 500);
+    P.Limits.AddressSpaceMb =
+        static_cast<uint64_t>(envInt("FPINT_CELL_AS_MB", 4096));
+    P.Retries = std::max(0, envInt("FPINT_CELL_RETRIES", 2));
+    P.BackoffMs = 50;
+    P.FaultSite = "cell";
   }
-  return false;
+  return P;
+}
+
+/// Rows travel as a JSON array of arrays of strings.
+inline std::string rowsToJson(const MatrixRows &Rows) {
+  json::Value Doc = json::Value::array();
+  for (const std::vector<std::string> &R : Rows) {
+    json::Value Row = json::Value::array();
+    for (const std::string &C : R)
+      Row.push(C);
+    Doc.push(std::move(Row));
+  }
+  return Doc.dump();
+}
+
+inline bool rowsFromJson(const std::string &Text, MatrixRows &Rows) {
+  json::Value Doc;
+  if (!json::Value::parse(Text, Doc, nullptr) || !Doc.isArray())
+    return false;
+  Rows.clear();
+  for (const json::Value &R : Doc.items()) {
+    if (!R.isArray())
+      return false;
+    std::vector<std::string> Row;
+    for (const json::Value &C : R.items()) {
+      if (!C.isString())
+        return false;
+      Row.push_back(C.str());
+    }
+    Rows.push_back(std::move(Row));
+  }
+  return true;
+}
+
+/// One cell's rows, or its failure.
+struct CellResult {
+  MatrixRows Rows;
+  std::optional<support::Supervised::Failure> Fail;
+};
+
+template <typename Item, typename RowFn>
+CellResult runCell(const Item &I, RowFn &Row,
+                   const support::Supervised::Policy &P) {
+  CellResult Out;
+  support::Supervised::Result R = support::Supervised::run(
+      [&](support::Supervised::Sink &S) { S.write(rowsToJson(Row(I))); }, P,
+      [&](const std::string &Payload, std::string &Why) {
+        Why = "malformed cell payload";
+        return rowsFromJson(Payload, Out.Rows);
+      });
+  Out.Fail = std::move(R.Fail);
+  return Out;
 }
 
 } // namespace detail
@@ -305,48 +264,51 @@ bool runCellSandboxed(const Item &I, RowFn &Row, MatrixRows &Rows,
 ///
 /// Default mode fans the items out on the shared thread pool; a row
 /// function that throws fails only its own cell (reported on stderr,
-/// rows absent). Sandbox mode (see sandboxEnabled()) instead forks one
-/// child per cell, serially: a cell that crashes, hangs, or exhausts
-/// its address space is retried with backoff and finally degrades to a
-/// single row of "ERR" cells padded to the header width, registered in
-/// HarnessState for the exit summary.
+/// rows absent). Sandbox mode (see sandboxEnabled()) instead runs one
+/// supervised child per cell, serially: a cell that still fails after
+/// its retries degrades to a single row of "ERR" cells padded to the
+/// header width, registered in HarnessState for the exit summary.
 template <typename Item, typename RowFn>
 void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
                const char *What = "matrix cell") {
-  if (sandboxEnabled()) {
-    for (size_t I = 0; I < Items.size(); ++I) {
-      MatrixRows Rows;
-      std::string Err;
-      if (detail::runCellSandboxed(Items[I], Row, Rows, Err)) {
-        for (std::vector<std::string> &R : Rows)
-          T.addRow(std::move(R));
-        continue;
-      }
-      std::string Label = detail::itemLabel(Items[I], What, I);
-      std::fprintf(stderr, "[bench] %s %zu (%s) degraded to ERR: %s\n",
-                   What, I, Label.c_str(), Err.c_str());
-      HarnessState::global().addDegraded(Label + ": " + Err);
-      std::vector<std::string> ErrRow{Label};
-      while (ErrRow.size() < std::max<size_t>(T.numCols(), 2))
-        ErrRow.push_back("ERR");
-      T.addRow(std::move(ErrRow));
-    }
-    return;
+  const bool Sandbox = sandboxEnabled();
+  const support::Supervised::Policy P = detail::cellPolicy(Sandbox);
+  std::vector<detail::CellResult> Cells;
+  Cells.reserve(Items.size());
+  if (Sandbox) {
+    for (const Item &I : Items)
+      Cells.push_back(detail::runCell(I, Row, P));
+  } else {
+    support::ThreadPool &Pool = support::ThreadPool::global();
+    std::vector<std::future<detail::CellResult>> Pending;
+    Pending.reserve(Items.size());
+    for (const Item &I : Items)
+      Pending.push_back(
+          Pool.submit([&I, &Row, &P] { return detail::runCell(I, Row, P); }));
+    for (std::future<detail::CellResult> &F : Pending)
+      Cells.push_back(F.get());
   }
 
-  support::ThreadPool &Pool = support::ThreadPool::global();
-  std::vector<std::future<MatrixRows>> Pending;
-  Pending.reserve(Items.size());
-  for (const Item &I : Items)
-    Pending.push_back(Pool.submit([&I, &Row] { return Row(I); }));
-  for (size_t I = 0; I < Pending.size(); ++I) {
-    try {
-      for (std::vector<std::string> &R : Pending[I].get())
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    if (!Cells[I].Fail) {
+      for (std::vector<std::string> &R : Cells[I].Rows)
         T.addRow(std::move(R));
-    } catch (const std::exception &E) {
-      std::fprintf(stderr, "[bench] %s %zu failed: %s\n", What, I,
-                   E.what());
+      continue;
     }
+    const std::string Err = Cells[I].Fail->detail();
+    if (!Sandbox) {
+      std::fprintf(stderr, "[bench] %s %zu failed: %s\n", What, I,
+                   Err.c_str());
+      continue;
+    }
+    std::string Label = detail::itemLabel(Items[I], What, I);
+    std::fprintf(stderr, "[bench] %s %zu (%s) degraded to ERR: %s\n", What,
+                 I, Label.c_str(), Err.c_str());
+    HarnessState::global().addDegraded(Label + ": " + Err);
+    std::vector<std::string> ErrRow{Label};
+    while (ErrRow.size() < std::max<size_t>(T.numCols(), 2))
+      ErrRow.push_back("ERR");
+    T.addRow(std::move(ErrRow));
   }
 }
 

@@ -2,12 +2,10 @@
 
 #include "campaign/Campaign.h"
 
-#include "support/FaultInject.h"
 #include "support/Hash.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -16,7 +14,6 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include <unistd.h>
 
@@ -85,11 +82,12 @@ bool parseCellRecord(const json::Value &R, std::string &Key,
 std::string campaign::cellKey(const std::string &Workload,
                               const std::string &PipelineKey,
                               const std::string &MachineKey) {
-  uint64_t H = support::fnv1a64(Workload);
-  H = support::fnv1a64("\x1f" + PipelineKey, H);
-  H = support::fnv1a64("\x1f" + MachineKey, H);
-  H = support::fnv1a64("\x1f" + std::string(JournalSchema), H);
-  return support::hex64(H);
+  return support::ContentKey()
+      .add(Workload)
+      .add(PipelineKey)
+      .add(MachineKey)
+      .add(JournalSchema)
+      .hex();
 }
 
 json::Value campaign::summaryToJson(const Summary &S) {
@@ -153,89 +151,35 @@ Runner::Runner(Options O) : Opts(std::move(O)) {
 }
 
 CellOutcome Runner::executeCell(const Cell &C, const CellFn &Fn) {
-  CellOutcome Out;
-  const int Attempts = 1 + Opts.Retries;
-  for (int Attempt = 1; Attempt <= Attempts; ++Attempt) {
-    Out.Attempts = static_cast<unsigned>(Attempt);
-    if (Opts.Sandbox) {
-      support::SandboxLimits Limits;
-      Limits.WallMs = Opts.DeadlineMs;
-      Limits.KillGraceMs = 500;
-      Limits.AddressSpaceMb = static_cast<uint64_t>(Opts.CellAsMb);
-      support::TaskResult R = support::Subprocess::run(
-          [&](int PayloadFd) {
-            // The child sets its own attempt number: cells fork from
-            // pool workers, so a parent-side shared counter would race
-            // across concurrent cells.
-            support::fault::setAttempt(static_cast<unsigned>(Attempt));
-            support::fault::inject("campaign:cell");
-            try {
-              json::Value Result = Fn(C);
-              return support::Subprocess::writeAll(PayloadFd, Result.dump())
-                         ? 0
-                         : 2;
-            } catch (const std::exception &E) {
-              std::fprintf(stderr, "%s\n", E.what());
-              return 3;
-            }
-          },
-          Limits);
+  support::Supervised::Policy P;
+  P.Limits.WallMs = Opts.DeadlineMs;
+  P.Limits.KillGraceMs = 500;
+  P.Limits.AddressSpaceMb = static_cast<uint64_t>(Opts.CellAsMb);
+  P.Retries = Opts.Retries;
+  P.BackoffMs = Opts.BackoffMs;
+  P.FaultSite = "campaign:cell";
+  P.InProcess = !Opts.Sandbox;
 
-      if (R.ok()) {
-        json::Value Result;
+  CellOutcome Out;
+  support::Supervised::Result R = support::Supervised::run(
+      [&](support::Supervised::Sink &S) { S.write(Fn(C).dump()); }, P,
+      [&](const std::string &Payload, std::string &Why) {
         std::string ParseErr;
-        if (json::Value::parse(R.Payload, Result, &ParseErr) &&
-            Result.isObject()) {
-          Out.St = CellOutcome::Status::Ok;
-          Out.Result = std::move(Result);
-          return Out;
-        }
-        Out.ErrorKind = "bad_payload";
-        Out.Error = "cell payload is not a JSON object: " + ParseErr;
-      } else {
-        using Status = support::TaskResult::Status;
-        Out.ErrorKind = (R.TimedOut || R.Killed) ? "timeout"
-                        : R.St == Status::Signaled
-                            ? "crash"
-                            : R.St == Status::SpawnFailed ? "spawn_failed"
-                                                          : "exit";
-        Out.Error = R.describe();
-        if (!R.StderrTail.empty()) {
-          std::string Tail = R.StderrTail;
-          if (!Tail.empty() && Tail.back() == '\n')
-            Tail.pop_back();
-          size_t Line = Tail.rfind('\n');
-          Out.Error +=
-              ": " + (Line == std::string::npos ? Tail : Tail.substr(Line + 1));
-        }
-      }
-    } else {
-      // In-process mode (tests / trusted cell functions): exceptions
-      // degrade, but a crash or hang is not contained.
-      try {
-        support::fault::setAttempt(static_cast<unsigned>(Attempt));
-        support::fault::inject("campaign:cell");
-        json::Value Result = Fn(C);
-        support::fault::setAttempt(1);
-        if (!Result.isObject()) {
-          Out.ErrorKind = "bad_payload";
-          Out.Error = "cell result is not a JSON object";
-        } else {
-          Out.St = CellOutcome::Status::Ok;
-          Out.Result = std::move(Result);
-          return Out;
-        }
-      } catch (const std::exception &E) {
-        support::fault::setAttempt(1);
-        Out.ErrorKind = "exception";
-        Out.Error = E.what();
-      }
-    }
-    if (Attempt < Attempts && Opts.BackoffMs > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          Opts.BackoffMs << (Attempt - 1)));
+        if (json::Value::parse(Payload, Out.Result, &ParseErr) &&
+            Out.Result.isObject())
+          return true;
+        Why = "cell payload is not a JSON object" +
+              (ParseErr.empty() ? "" : ": " + ParseErr);
+        return false;
+      });
+  Out.Attempts = R.Attempts;
+  if (R.ok()) {
+    Out.St = CellOutcome::Status::Ok;
+  } else {
+    Out.Result = json::Value();
+    Out.ErrorKind = R.Fail->kindName();
+    Out.Error = R.Fail->detail();
   }
-  Out.St = CellOutcome::Status::Err;
   return Out;
 }
 

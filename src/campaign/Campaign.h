@@ -18,13 +18,13 @@
 ///    on. On restart, journaled cells replay byte-identically and only
 ///    unfinished cells execute. A torn journal tail costs at most the
 ///    one record being appended at death; that cell re-executes.
-///  * Containment: cells execute in the PR 4 Subprocess sandbox with a
-///    per-attempt wall deadline, bounded retries with exponential
-///    backoff, and an address-space cap. A cell that exhausts its
-///    attempts degrades to a typed ERR record; the campaign never
-///    aborts. (Options.Sandbox=false runs cells in-process -- for
-///    tests and trusted cell functions only; a crash then kills the
-///    runner, though the journal still bounds the loss.)
+///  * Containment: cells execute through support::Supervised (limits,
+///    retries, failure kinds: docs/ROBUSTNESS.md, "Supervised
+///    execution"). A cell that exhausts its attempts degrades to a
+///    typed ERR record; the campaign never aborts. (Options.Sandbox=
+///    false runs cells in-process -- for tests and trusted cell
+///    functions only; a crash then kills the runner, though the
+///    journal still bounds the loss.)
 ///  * Publication: consumers build their final report from the
 ///    returned outcomes and publish it with publishReport() --
 ///    write-to-tmp-then-rename, the serve::DiskCache atomic-
@@ -46,8 +46,7 @@
 ///   FPINT_CAMPAIGN_DEADLINE_MS per-attempt wall deadline (120000)
 ///   FPINT_CAMPAIGN_AS_MB       per-cell address-space cap (4096)
 ///
-/// Fault sites: "campaign:cell" fires inside the sandbox child (crash/
-/// hang/oom degrade to ERR; ":once" is absorbed by the retry),
+/// Fault sites: "campaign:cell" fires inside the sandbox child,
 /// "campaign:journal" fires in the runner after each record is durable
 /// (killing the harness itself; resume must lose nothing).
 ///

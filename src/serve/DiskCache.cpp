@@ -60,11 +60,12 @@ std::string DiskCache::schemaStamp() {
 std::string DiskCache::key(const std::string &ModuleText,
                            const std::string &PipelineKey,
                            const std::string &MachineKey) {
-  uint64_t H = support::fnv1a64(ModuleText);
-  H = support::fnv1a64("\x1f" + PipelineKey, H);
-  H = support::fnv1a64("\x1f" + MachineKey, H);
-  H = support::fnv1a64("\x1f" + schemaStamp(), H);
-  return support::hex64(H);
+  return support::ContentKey()
+      .add(ModuleText)
+      .add(PipelineKey)
+      .add(MachineKey)
+      .add(schemaStamp())
+      .hex();
 }
 
 std::string DiskCache::pathFor(const std::string &Key) const {

@@ -3,7 +3,6 @@
 #include "serve/Server.h"
 
 #include "sir/Parser.h"
-#include "support/FaultInject.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 #include "timing/Simulator.h"
@@ -100,84 +99,50 @@ Value computeBody(const Request &Req) {
   }
 }
 
-/// One-line tail of the child's stderr for ERR-response details.
-std::string stderrHint(const support::TaskResult &R) {
-  std::string Tail = R.StderrTail;
-  while (!Tail.empty() && Tail.back() == '\n')
-    Tail.pop_back();
-  size_t Line = Tail.rfind('\n');
-  return Line == std::string::npos ? Tail : Tail.substr(Line + 1);
-}
-
 } // namespace
 
 std::pair<Value, bool> Server::execute(const Request &Req) {
-  if (!Opts.Sandbox) {
-    try {
-      support::fault::inject("serve");
-      Value Body = computeBody(Req);
-      bool Cacheable = Body.strOr("status", "") == "ok" ||
-                       isDeterministicErrorKind(
-                           Body.find("error")
-                               ? Body.find("error")->strOr("kind", "")
-                               : "");
-      return {std::move(Body), Cacheable};
-    } catch (const std::exception &E) {
-      return {errorBody("internal", E.what()), false};
-    }
-  }
+  support::Supervised::Policy P;
+  P.Limits.WallMs = Opts.SandboxWallMs;
+  P.Limits.KillGraceMs = Opts.SandboxKillGraceMs;
+  P.Limits.AddressSpaceMb = Opts.SandboxAsMb;
+  P.FaultSite = "serve";
+  P.InProcess = !Opts.Sandbox;
 
-  support::SandboxLimits Limits;
-  Limits.WallMs = Opts.SandboxWallMs;
-  Limits.KillGraceMs = Opts.SandboxKillGraceMs;
-  Limits.AddressSpaceMb = Opts.SandboxAsMb;
-
-  support::TaskResult R = support::Subprocess::run(
-      [&Req](int PayloadFd) {
-        support::fault::inject("serve");
-        Value Body = computeBody(Req);
-        return support::Subprocess::writeAll(PayloadFd, Body.dump()) ? 0 : 2;
+  Value Body;
+  support::Supervised::Result R = support::Supervised::run(
+      [&Req](support::Supervised::Sink &S) {
+        S.write(computeBody(Req).dump());
       },
-      Limits);
-
+      P,
+      [&Body](const std::string &Payload, std::string &Why) {
+        return json::Value::parse(Payload, Body, &Why) && Body.isObject();
+      });
   if (R.ok()) {
-    Value Body;
-    std::string Err;
-    if (json::Value::parse(R.Payload, Body, &Err) && Body.isObject()) {
-      bool Cacheable = Body.strOr("status", "") == "ok" ||
-                       isDeterministicErrorKind(
-                           Body.find("error")
-                               ? Body.find("error")->strOr("kind", "")
-                               : "");
-      return {std::move(Body), Cacheable};
-    }
-    return {errorBody("internal", "malformed sandbox payload"), false};
+    const Value *Error = Body.find("error");
+    bool Cacheable = Body.strOr("status", "") == "ok" ||
+                     isDeterministicErrorKind(
+                         Error ? Error->strOr("kind", "") : "");
+    return {std::move(Body), Cacheable};
   }
 
-  // The sandbox contained a death; type it for the client. None of
-  // these are deterministic functions of the request, so none are
-  // cached -- a retry after a transient fault can still succeed.
-  {
+  using Kind = support::Supervised::Failure::Kind;
+  const support::Supervised::Failure &F = *R.Fail;
+  if (F.K == Kind::BadPayload)
+    return {errorBody("internal", "malformed sandbox payload"), false};
+  // The sandbox contained a death (or, in-process, the request threw);
+  // type it for the client. None of these are deterministic functions
+  // of the request, so none are cached -- a retry after a transient
+  // fault can still succeed.
+  if (Opts.Sandbox) {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Counts.SandboxDeaths;
   }
-  std::string Hint = stderrHint(R);
-  std::string Detail = R.describe() + (Hint.empty() ? "" : ": " + Hint);
-  const char *Kind = "crash";
-  switch (R.St) {
-  case support::TaskResult::Status::Signaled:
-    Kind = R.TimedOut ? "timeout" : "crash";
-    break;
-  case support::TaskResult::Status::ExitNonZero:
-    Kind = "internal";
-    break;
-  case support::TaskResult::Status::SpawnFailed:
-    Kind = "spawn_failed";
-    break;
-  case support::TaskResult::Status::Ok:
-    break;
-  }
-  return {errorBody(Kind, Detail), false};
+  const char *ErrKind = F.K == Kind::Timeout       ? "timeout"
+                        : F.K == Kind::Crash       ? "crash"
+                        : F.K == Kind::SpawnFailed ? "spawn_failed"
+                                                   : "internal";
+  return {errorBody(ErrKind, F.detail()), false};
 }
 
 //===----------------------------------------------------------------------===//

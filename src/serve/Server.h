@@ -7,9 +7,9 @@
 /// \file
 /// The serving engine behind the fpint-serve daemon: accepts framed
 /// compile+measure requests (serve::Protocol), answers them from a
-/// two-tier result cache, and executes misses inside the PR 4
-/// subprocess sandbox so a poisoned module degrades to one ERR
-/// response instead of taking the daemon down.
+/// two-tier result cache, and executes misses through
+/// support::Supervised in a subprocess sandbox so a poisoned module
+/// degrades to one ERR response instead of taking the daemon down.
 ///
 /// Tiers, checked in order per request:
 ///
@@ -29,9 +29,8 @@
 /// handlers (the child's arenas are reinitialized consistently), and
 /// the child executes only self-contained compile/simulate code -- it
 /// never touches the parent's caches, registries, or any other lock
-/// a sibling thread could have held at fork time. This deliberately
-/// relaxes the stricter orchestration-thread-only contract the bench
-/// harness follows (see support/Subprocess.h).
+/// a sibling thread could have held at fork time (the forking
+/// contract in support/Subprocess.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -186,13 +186,6 @@ Value stats::simStatsToJson(const timing::SimStats &S) {
   // fpint-report (wall time is machine/load dependent).
   V.set("sim_wall_ms", S.SimWallMs);
   V.set("sim_cycles_per_sec", S.cyclesPerSecond());
-  if (S.Sampled) {
-    // Sampled (extrapolated) statistics are clearly marked and must
-    // never feed golden/figure paths.
-    V.set("sampled", true);
-    V.set("sampled_instructions", S.SampledInstructions);
-    V.set("sampled_cycles", S.SampledCycles);
-  }
   if (S.Telemetry)
     V.set("telemetry", breakdownToJson(*S.Telemetry));
   return V;

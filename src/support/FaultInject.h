@@ -15,9 +15,9 @@
 /// SIGTERM and sleeps forever (forcing the watchdog's SIGKILL
 /// escalation), `oom` allocates and touches memory until the address-
 /// space limit kills the process. With the `:once` suffix the fault
-/// only fires while the harness attempt counter is 1 -- the sandbox
-/// sets the counter before forking each (re)try, so `:once` models a
-/// transient failure that a retry recovers from.
+/// only fires while the harness attempt counter is 1 --
+/// support::Supervised sets the counter in each (re)try, so `:once`
+/// models a transient failure that a retry recovers from.
 ///
 /// Instrumented sites: "compile" (core::compileAndMeasure), "simulate"
 /// (core::simulate), "cell" (bench::runMatrix sandboxed cell), "oracle"
@@ -48,12 +48,11 @@ bool enabled();
 /// return.
 void inject(const char *Where);
 
-/// Sets the 1-based attempt counter consulted by ":once" specs. The
-/// sandboxing harness calls this in the parent before each fork, so
-/// children inherit the attempt number they are running under.
-/// campaign::Runner instead has each sandbox child set its own attempt
-/// first thing after fork (cells fork from pool workers, where a
-/// shared pre-fork counter would race).
+/// Sets the 1-based attempt counter consulted by ":once" specs.
+/// support::Supervised calls this first thing in each attempt's child
+/// (callers fork from pool workers, where a shared pre-fork counter
+/// would race), and around an in-process attempt when a fault is
+/// armed.
 void setAttempt(unsigned Attempt);
 
 /// Arms (or, with nullptr, disarms) a fault spec in-process, exactly

@@ -45,6 +45,29 @@ inline std::string hex64(uint64_t H) {
   return Buf;
 }
 
+/// The repository's one content-key builder: FNV-1a chained over the
+/// added parts, every part after the first preceded by a 0x1f unit
+/// separator (so moving bytes across a part boundary changes the key).
+/// Its keys name durable state -- serve disk-cache entries, campaign
+/// and fuzz journals -- so the spelling must never change.
+class ContentKey {
+public:
+  ContentKey &add(const std::string &Part) {
+    if (Started)
+      H = fnv1a64("\x1f", H);
+    H = fnv1a64(Part, H);
+    Started = true;
+    return *this;
+  }
+
+  /// 16 lower-case hex digits.
+  std::string hex() const { return hex64(H); }
+
+private:
+  uint64_t H = fnv1a64("");
+  bool Started = false;
+};
+
 } // namespace support
 } // namespace fpint
 

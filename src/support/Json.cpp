@@ -146,7 +146,7 @@ std::string Value::dump() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Parser (recursive descent).
+// Parser (recursive descent, bounded by MaxNestingDepth).
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -154,6 +154,7 @@ namespace {
 struct Parser {
   const std::string &Text;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< Containers open around the current value.
   std::string Err;
 
   explicit Parser(const std::string &Text) : Text(Text) {}
@@ -234,57 +235,67 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  bool parseObject(Value &Out) {
+    ++Pos;
+    Out = Value::object();
+    skipWs();
+    if (Pos < Text.size() && Text[Pos] == '}') {
+      ++Pos;
+      return true;
+    }
+    while (true) {
+      std::string Key;
+      if (!parseString(Key))
+        return false;
+      if (!consume(':'))
+        return false;
+      Value V;
+      if (!parseValue(V))
+        return false;
+      Out.set(Key, std::move(V));
+      skipWs();
+      if (Pos < Text.size() && Text[Pos] == ',') {
+        ++Pos;
+        continue;
+      }
+      return consume('}');
+    }
+  }
+
+  bool parseArray(Value &Out) {
+    ++Pos;
+    Out = Value::array();
+    skipWs();
+    if (Pos < Text.size() && Text[Pos] == ']') {
+      ++Pos;
+      return true;
+    }
+    while (true) {
+      Value V;
+      if (!parseValue(V))
+        return false;
+      Out.push(std::move(V));
+      skipWs();
+      if (Pos < Text.size() && Text[Pos] == ',') {
+        ++Pos;
+        continue;
+      }
+      return consume(']');
+    }
+  }
+
   bool parseValue(Value &Out) {
     skipWs();
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
-    if (C == '{') {
-      ++Pos;
-      Out = Value::object();
-      skipWs();
-      if (Pos < Text.size() && Text[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      while (true) {
-        std::string Key;
-        if (!parseString(Key))
-          return false;
-        if (!consume(':'))
-          return false;
-        Value V;
-        if (!parseValue(V))
-          return false;
-        Out.set(Key, std::move(V));
-        skipWs();
-        if (Pos < Text.size() && Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (C == '[') {
-      ++Pos;
-      Out = Value::array();
-      skipWs();
-      if (Pos < Text.size() && Text[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      while (true) {
-        Value V;
-        if (!parseValue(V))
-          return false;
-        Out.push(std::move(V));
-        skipWs();
-        if (Pos < Text.size() && Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        return consume(']');
-      }
+    if (C == '{' || C == '[') {
+      if (Depth == MaxNestingDepth)
+        return fail("nesting too deep");
+      ++Depth;
+      bool Ok = C == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
     }
     if (C == '"') {
       std::string S;

@@ -33,6 +33,13 @@
 namespace fpint {
 namespace json {
 
+/// Deepest container nesting Value::parse accepts ("[]" is depth 1).
+/// The parser recurses once per level, so an unbounded depth would let
+/// one hostile document (a serve request frame, a journal record)
+/// overflow the stack; deeper input fails with "nesting too deep".
+/// Every document the repository writes nests fewer than 10 levels.
+constexpr unsigned MaxNestingDepth = 512;
+
 class Value {
 public:
   enum class Kind { Null, Bool, Int, Double, String, Array, Object };
@@ -99,8 +106,9 @@ public:
   std::string dump() const;
 
   /// Parses \p Text into \p Out. Returns false and fills \p Err (with
-  /// an offset-annotated message) on malformed input. Object member
-  /// order is preserved.
+  /// an offset-annotated message) on malformed input, including input
+  /// nested deeper than MaxNestingDepth. Object member order is
+  /// preserved.
   static bool parse(const std::string &Text, Value &Out, std::string *Err);
 
   /// Shortest decimal spelling of \p D that parses back to exactly the

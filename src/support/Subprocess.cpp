@@ -2,12 +2,16 @@
 
 #include "support/Subprocess.h"
 
+#include "support/FaultInject.h"
+
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -257,4 +261,155 @@ TaskResult Subprocess::run(const ChildFn &Fn, const SandboxLimits &Limits) {
     R.St = TaskResult::Status::Signaled;
   }
   return R;
+}
+
+//===----------------------------------------------------------------------===//
+// Supervised
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Exit status of a forked task that threw; the same code
+/// Subprocess::run gives an exception that escapes its callable.
+constexpr int ExceptionExit = 125;
+
+/// Last nonempty line of \p Tail.
+std::string lastLine(std::string Tail) {
+  while (!Tail.empty() && Tail.back() == '\n')
+    Tail.pop_back();
+  size_t Line = Tail.rfind('\n');
+  return Line == std::string::npos ? Tail : Tail.substr(Line + 1);
+}
+
+using Failure = Supervised::Failure;
+
+Failure failureOf(TaskResult &R) {
+  Failure F;
+  F.Describe = R.describe();
+  F.StderrLine = lastLine(R.StderrTail);
+  F.Payload = std::move(R.Payload);
+  F.ExitCode = R.ExitCode;
+  F.Signal = R.TermSignal;
+  if (R.TimedOut || R.Killed)
+    F.K = Failure::Kind::Timeout;
+  else if (R.St == TaskResult::Status::Signaled)
+    F.K = Failure::Kind::Crash;
+  else if (R.St == TaskResult::Status::SpawnFailed)
+    F.K = Failure::Kind::SpawnFailed;
+  else
+    F.K = R.ExitCode == ExceptionExit ? Failure::Kind::Exception
+                                      : Failure::Kind::Exit;
+  return F;
+}
+
+} // namespace
+
+void Supervised::Sink::write(const std::string &Bytes) {
+  if (Buffer)
+    *Buffer += Bytes;
+  else if (!Subprocess::writeAll(Fd, Bytes))
+    WriteFailed = true;
+}
+
+const char *Supervised::Failure::kindName() const {
+  switch (K) {
+  case Kind::Crash:
+    return "crash";
+  case Kind::Timeout:
+    return "timeout";
+  case Kind::Exit:
+    return "exit";
+  case Kind::Exception:
+    return "exception";
+  case Kind::BadPayload:
+    return "bad_payload";
+  case Kind::SpawnFailed:
+    return "spawn_failed";
+  }
+  return "?";
+}
+
+std::string Supervised::Failure::detail() const {
+  return StderrLine.empty() ? Describe : Describe + ": " + StderrLine;
+}
+
+Supervised::Result Supervised::run(const Task &T, const Policy &P,
+                                   const Accept &A) {
+  Result Out;
+  const unsigned Attempts = 1 + static_cast<unsigned>(std::max(0, P.Retries));
+  for (unsigned Attempt = 1; Attempt <= Attempts; ++Attempt) {
+    if (Attempt > 1 && P.BackoffMs > 0)
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(P.BackoffMs << (Attempt - 2)));
+    Out.Attempts = Attempt;
+
+    std::string Payload;
+    std::optional<Failure> F;
+    if (P.InProcess) {
+      // The attempt counter is process-global: touch it only when a
+      // fault site can read it, so concurrent in-process callers
+      // without one never race on it.
+      const bool Fault = P.FaultSite && fault::enabled();
+      Sink S;
+      S.Buffer = &Payload;
+      try {
+        if (Fault) {
+          fault::setAttempt(Attempt);
+          fault::inject(P.FaultSite);
+        }
+        T(S);
+      } catch (const std::exception &E) {
+        F.emplace();
+        F->Describe = E.what();
+      } catch (...) {
+        F.emplace();
+        F->Describe = "unknown exception";
+      }
+      if (Fault)
+        fault::setAttempt(1);
+      if (F) {
+        F->K = Failure::Kind::Exception;
+        F->Payload = std::move(Payload);
+      }
+    } else {
+      TaskResult R = Subprocess::run(
+          [&](int Fd) {
+            // Set in the child: callers fork from pool workers, where a
+            // parent-side counter would race across concurrent tasks.
+            fault::setAttempt(Attempt);
+            Sink S;
+            S.Fd = Fd;
+            try {
+              if (P.FaultSite)
+                fault::inject(P.FaultSite);
+              T(S);
+            } catch (const std::exception &E) {
+              std::fprintf(stderr, "%s\n", E.what());
+              return ExceptionExit;
+            }
+            return S.WriteFailed ? 2 : 0;
+          },
+          P.Limits);
+      if (R.ok())
+        Payload = std::move(R.Payload);
+      else
+        F = failureOf(R);
+    }
+
+    std::string Why;
+    if (!F && (!A || A(Payload, Why))) {
+      Out.Payload = std::move(Payload);
+      Out.Fail.reset();
+      return Out;
+    }
+    if (!F) {
+      F.emplace();
+      F->K = Failure::Kind::BadPayload;
+      F->Describe = Why.empty() ? "payload rejected" : Why;
+      F->Payload = std::move(Payload);
+    }
+    F->Attempts = Attempt;
+    Out.Fail = std::move(F);
+  }
+  return Out;
 }

@@ -14,20 +14,19 @@
 /// the tail of the child's stderr, peak RSS, and an arbitrary byte
 /// payload the child streamed back over a pipe.
 ///
-/// This is the containment layer under the degrade-don't-die bench
-/// matrix (bench::runMatrix sandboxed cells) and the fpint-fuzz
-/// campaign runner (sandboxed iterations with crash/hang triage); see
-/// docs/ROBUSTNESS.md.
+/// Supervised::run is the one entry point the harnesses use on top of
+/// it: retries with backoff, fault-site plumbing, typed failures, and
+/// an in-process mode -- see docs/ROBUSTNESS.md, "Supervised
+/// execution", for its policy, failure kinds and each caller's
+/// mapping.
 ///
 /// Forking contract: run() must only be called from a thread that is
 /// not racing other threads for locks the child will need (malloc,
-/// the run cache). The harnesses guarantee this by dispatching all
-/// sandboxed work from the orchestration thread, never from pool
-/// workers. The child runs the callable and _exit()s; it never
-/// returns into the caller's stack. The one documented relaxation is
-/// the fpint-serve daemon, which forks from pool workers but confines
-/// the child to self-contained compile/simulate code (no shared
-/// caches, registries, or other parent locks); see serve/Server.h.
+/// the run cache). The child runs the callable and _exit()s; it never
+/// returns into the caller's stack. Callers that fork from pool
+/// workers confine the child to self-contained compile/simulate code
+/// (no shared caches, registries, or other parent locks); see
+/// serve/Server.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 /// True when this translation unit is compiled under AddressSanitizer.
@@ -114,6 +114,84 @@ public:
   static bool writeAll(int Fd, const std::string &S) {
     return writeAll(Fd, S.data(), S.size());
   }
+};
+
+/// Runs a task under a retry policy, forked into a Subprocess sandbox
+/// or in the calling process, and returns its payload or a typed
+/// Failure. The retry loop, the fault-site plumbing, the child's
+/// exception handling and the stderr hint live here and nowhere else.
+class Supervised {
+public:
+  /// Where a task writes its payload: the sandbox's payload pipe, or a
+  /// string in-process. Bytes written before a crash reach the caller.
+  class Sink {
+  public:
+    void write(const std::string &Bytes);
+
+  private:
+    friend class Supervised;
+    int Fd = -1;
+    std::string *Buffer = nullptr;
+    bool WriteFailed = false;
+  };
+
+  /// The task body. Signal failure by throwing.
+  using Task = std::function<void(Sink &)>;
+  /// The caller's check of a complete payload; returning false with a
+  /// reason in \p Why makes the attempt a BadPayload failure.
+  using Accept =
+      std::function<bool(const std::string &Payload, std::string &Why)>;
+
+  struct Policy {
+    SandboxLimits Limits; ///< Ignored in-process.
+    int Retries = 0;      ///< Attempts after the first.
+    /// Sleep before retry N is BackoffMs << (N - 1); 0 retries at once.
+    int BackoffMs = 0;
+    /// fault::inject site fired before the task, after the attempt
+    /// number is set (in the child when forked); null for none.
+    const char *FaultSite = nullptr;
+    /// Run in the calling process with an in-memory sink: exceptions
+    /// are still typed, but a crash or hang is not contained.
+    bool InProcess = false;
+  };
+
+  struct Failure {
+    enum class Kind {
+      Crash,
+      Timeout,
+      Exit,
+      Exception,
+      BadPayload,
+      SpawnFailed,
+    };
+    Kind K = Kind::SpawnFailed;
+    int Signal = 0;   ///< Fatal signal (Crash, Timeout).
+    int ExitCode = 0; ///< Exit status (Exit, Exception when forked).
+    /// TaskResult::describe(); the exception's what() in-process; the
+    /// rejection reason for BadPayload.
+    std::string Describe;
+    std::string StderrLine; ///< Last nonempty stderr line (forked only).
+    std::string Payload;    ///< What the task wrote before failing.
+    unsigned Attempts = 0;
+
+    /// "crash", "timeout", "exit", "exception", "bad_payload",
+    /// "spawn_failed".
+    const char *kindName() const;
+    /// Describe, then ": " and the stderr line when there is one.
+    std::string detail() const;
+  };
+
+  struct Result {
+    std::string Payload; ///< The accepted payload (ok() only).
+    unsigned Attempts = 0;
+    std::optional<Failure> Fail; ///< The last attempt's failure.
+
+    bool ok() const { return !Fail; }
+  };
+
+  /// Runs \p T up to 1 + \p P.Retries times until an attempt succeeds
+  /// and \p A (if given) accepts its payload.
+  static Result run(const Task &T, const Policy &P, const Accept &A = {});
 };
 
 } // namespace support

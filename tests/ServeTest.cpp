@@ -248,6 +248,8 @@ TEST(DiskCacheTest, KeysAreStableAndContentAddressed) {
   // Separator injection: moving bytes across field boundaries must
   // change the key.
   EXPECT_NE(DiskCache::key("ab", "c", "d"), DiskCache::key("a", "bc", "d"));
+  // Pinned: a key change would orphan every existing serve cache.
+  EXPECT_EQ(K1, "5e6eef9e4d79578d");
 }
 
 TEST(DiskCacheTest, PutGetRoundTripsAcrossInstances) {
@@ -419,6 +421,20 @@ TEST(ServeTest, DeterministicErrorsAreCachedTransportOnesAreNot) {
   Doc.set("pipeline", std::move(Pipeline));
   Parsed NoRa = parseResponse(S.handleRequest(Doc.dump()));
   EXPECT_EQ(NoRa.ErrorKind, "bad_request");
+}
+
+TEST(ServeTest, DeeplyNestedRequestIsBadRequestAndServerSurvives) {
+  TempDir Dir("server_nested");
+  Server S(quickOptions(Dir.Path, /*Sandbox=*/false));
+  const std::string Hostile =
+      std::string(200000, '[') + std::string(200000, ']');
+  Parsed Bad = parseResponse(S.handleRequest(Hostile));
+  EXPECT_EQ(Bad.ErrorKind, "bad_request");
+  EXPECT_NE(Bad.Body.find("nesting too deep"), std::string::npos) << Bad.Body;
+  EXPECT_EQ(S.counters().BadRequests, 1u);
+
+  Parsed Ping = parseResponse(S.handleRequest("{\"op\": \"ping\"}"));
+  EXPECT_EQ(Ping.Status, "ok");
 }
 
 //===----------------------------------------------------------------------===//

@@ -285,6 +285,26 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_NE(Err.find("offset"), std::string::npos);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  auto Arrays = [](unsigned Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  json::Value V;
+  std::string Err;
+  EXPECT_TRUE(json::Value::parse(Arrays(json::MaxNestingDepth - 1), V, &Err))
+      << Err;
+  EXPECT_FALSE(json::Value::parse(Arrays(json::MaxNestingDepth + 1), V, &Err));
+  EXPECT_NE(Err.find("nesting too deep"), std::string::npos) << Err;
+
+  // Objects count toward the same cap.
+  std::string Objects;
+  for (unsigned I = 0; I <= json::MaxNestingDepth; ++I)
+    Objects += "{\"k\": ";
+  Objects += "0" + std::string(json::MaxNestingDepth + 1, '}');
+  EXPECT_FALSE(json::Value::parse(Objects, V, &Err));
+  EXPECT_NE(Err.find("nesting too deep"), std::string::npos) << Err;
+}
+
 TEST(Json, DoubleFormattingIsShortestRoundTrip) {
   EXPECT_EQ(json::Value::formatDouble(2.0), "2.0");
   EXPECT_EQ(json::Value::formatDouble(0.5), "0.5");

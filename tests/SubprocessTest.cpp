@@ -8,7 +8,9 @@
 /// support::Subprocess containment paths: payload capture, exit-code
 /// and signal classification, the SIGTERM -> SIGKILL watchdog
 /// escalation, RLIMIT_AS enforcement, stderr-tail capture, and the
-/// FPINT_FAULT attempt counter that models transient failures.
+/// FPINT_FAULT attempt counter that models transient failures; and
+/// support::Supervised on top of it: retries, typed failures, and the
+/// in-process mode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <stdexcept>
 #include <vector>
 
 #include <sys/resource.h>
@@ -266,6 +269,94 @@ TEST(Subprocess, SpawnFailureLeaksNoDescriptors) {
   R = Subprocess::run([](int) { return 0; }, quickLimits());
   EXPECT_EQ(R.St, TaskResult::Status::SpawnFailed);
   EXPECT_EQ(FdSqueeze::openFdCount(), Before2);
+}
+
+//===----------------------------------------------------------------------===//
+// Supervised.
+//===----------------------------------------------------------------------===//
+
+using Kind = Supervised::Failure::Kind;
+
+Supervised::Policy quickPolicy(bool InProcess = false) {
+  Supervised::Policy P;
+  P.Limits = quickLimits();
+  P.InProcess = InProcess;
+  return P;
+}
+
+TEST(Supervised, InjectedOnceCrashIsAbsorbedByRetry) {
+  fault::armForTest("crash:supervised_test:once");
+  Supervised::Policy P = quickPolicy();
+  P.Retries = 2;
+  P.BackoffMs = 1;
+  P.FaultSite = "supervised_test";
+  Supervised::Result R = Supervised::run(
+      [](Supervised::Sink &S) { S.write("done"); }, P);
+  fault::armForTest(nullptr);
+  ASSERT_TRUE(R.ok()) << R.Fail->detail();
+  EXPECT_EQ(R.Payload, "done");
+  EXPECT_EQ(R.Attempts, 2u);
+}
+
+TEST(Supervised, HangExhaustsRetriesAsTimeout) {
+  Supervised::Policy P = quickPolicy();
+  P.Limits.WallMs = 200;
+  P.Limits.KillGraceMs = 200;
+  P.Retries = 1;
+  Supervised::Result R = Supervised::run(
+      [](Supervised::Sink &) {
+        for (;;)
+          sleepMs(50);
+      },
+      P);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Fail->K, Kind::Timeout);
+  EXPECT_STREQ(R.Fail->kindName(), "timeout");
+  EXPECT_EQ(R.Fail->Attempts, 2u);
+  EXPECT_EQ(R.Attempts, 2u);
+}
+
+TEST(Supervised, ThrowingTaskIsExceptionForkedAndInProcess) {
+  for (bool InProcess : {false, true}) {
+    Supervised::Result R = Supervised::run(
+        [](Supervised::Sink &) { throw std::runtime_error("task blew up"); },
+        quickPolicy(InProcess));
+    ASSERT_FALSE(R.ok()) << "in-process: " << InProcess;
+    EXPECT_EQ(R.Fail->K, Kind::Exception) << "in-process: " << InProcess;
+    EXPECT_NE(R.Fail->detail().find("task blew up"), std::string::npos)
+        << R.Fail->detail();
+    EXPECT_EQ(R.Fail->Attempts, 1u);
+  }
+}
+
+TEST(Supervised, RejectedPayloadIsBadPayload) {
+  for (bool InProcess : {false, true}) {
+    Supervised::Result R = Supervised::run(
+        [](Supervised::Sink &S) { S.write("not a number"); },
+        quickPolicy(InProcess),
+        [](const std::string &Payload, std::string &Why) {
+          Why = "expected digits, got '" + Payload + "'";
+          return false;
+        });
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.Fail->K, Kind::BadPayload);
+    EXPECT_EQ(R.Fail->Describe, "expected digits, got 'not a number'");
+    EXPECT_EQ(R.Fail->Payload, "not a number");
+  }
+}
+
+TEST(Supervised, CrashKeepsPartialPayload) {
+  Supervised::Result R = Supervised::run(
+      [](Supervised::Sink &S) {
+        S.write("stage 1\n");
+        std::signal(SIGSEGV, SIG_DFL);
+        raise(SIGSEGV);
+      },
+      quickPolicy());
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Fail->K, Kind::Crash);
+  EXPECT_EQ(R.Fail->Signal, SIGSEGV);
+  EXPECT_EQ(R.Fail->Payload, "stage 1\n");
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 /// trap) and that the timing simulator and stats subsystem agree on
 /// the dynamic instruction counts per partition.
 ///
-/// Every iteration runs in a forked sandbox (support::Subprocess), so
+/// Every iteration runs in a forked sandbox (support::Supervised), so
 /// a checker crash or hang fails only that iteration: the campaign
 /// always runs to completion and the parent never aborts. Failures
 /// are triaged into buckets -- mismatches by the oracle's verdict,
@@ -148,27 +148,22 @@ struct IterOutcome {
   std::string Describe; ///< Human-readable sandbox verdict.
 };
 
-/// Child exit codes of the sandboxed checker (anything else, plus
-/// signals and timeouts, is classified by the parent).
-enum : int {
-  ExitPass = 0,
-  ExitMismatch = 3,
-  ExitSkip = 4,
-  ExitGeneratorBug = 5,
-};
-
 /// The checker body; runs in the sandbox child (or in-process with
 /// --no-sandbox). Streams breadcrumbs and results as prefixed lines
-/// over \p Send so a mid-flight death still leaves triage data.
+/// over \p Send so a mid-flight death still leaves triage data, and
+/// ends with the verdict line ("V" + the IterOutcome::Kind number).
 template <typename SendFn>
-int checkModule(const sir::Module &M, const testgen::OracleOptions &BaseOpts,
-                const SendFn &Send) {
+void checkModule(const sir::Module &M, const testgen::OracleOptions &BaseOpts,
+                 const SendFn &Send) {
+  auto Verdict = [&Send](IterOutcome::Kind K) {
+    Send("V" + std::to_string(static_cast<int>(K)));
+  };
   sir::VerifyOptions Strict;
   Strict.CheckDataflow = true;
   std::vector<std::string> Diags = sir::verify(M, Strict);
   if (!Diags.empty()) {
     Send("G" + Diags.front());
-    return ExitGeneratorBug;
+    return Verdict(IterOutcome::Kind::GeneratorBug);
   }
 
   testgen::OracleOptions Opts = BaseOpts;
@@ -177,15 +172,18 @@ int checkModule(const sir::Module &M, const testgen::OracleOptions &BaseOpts,
   Send("D" + std::to_string(Report.BaselineDynInstrs));
   if (Report.BaselineSkipped) {
     Send("S" + Report.BaselineError);
-    return ExitSkip;
+    return Verdict(IterOutcome::Kind::Skip);
   }
   for (const std::string &Msg : Report.Mismatches)
     Send("M" + Msg);
-  return Report.Mismatches.empty() ? ExitPass : ExitMismatch;
+  Verdict(Report.Mismatches.empty() ? IterOutcome::Kind::Pass
+                                    : IterOutcome::Kind::Mismatch);
 }
 
-/// Folds the streamed checker lines into \p Out.
-void parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
+/// Folds the streamed checker lines into \p Out; returns whether they
+/// carried a verdict.
+bool parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
+  bool HaveVerdict = false;
   size_t Pos = 0;
   while (Pos < Payload.size()) {
     size_t End = Payload.find('\n', Pos);
@@ -212,84 +210,68 @@ void parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
     case 'G':
       Out.Mismatches.push_back("generator bug: " + Rest);
       break;
+    case 'V':
+      Out.K = static_cast<IterOutcome::Kind>(std::atoi(Rest.c_str()));
+      HaveVerdict = true;
+      break;
     default:
       break;
     }
   }
+  return HaveVerdict;
 }
 
-/// Checks \p M inside a forked sandbox and classifies the result.
-IterOutcome checkSandboxed(const sir::Module &M,
-                           const testgen::OracleOptions &Opts,
-                           int TimeoutMs) {
-  support::SandboxLimits Limits;
-  Limits.WallMs = TimeoutMs;
-  Limits.KillGraceMs = 300;
-  Limits.AddressSpaceMb = 4096;
+/// Checks \p M -- in a forked sandbox under \p TimeoutMs, or
+/// in-process without containment -- and classifies the result.
+IterOutcome checkSupervised(const sir::Module &M,
+                            const testgen::OracleOptions &Opts,
+                            int TimeoutMs, bool InProcess) {
+  support::Supervised::Policy P;
+  P.Limits.WallMs = TimeoutMs;
+  P.Limits.KillGraceMs = 300;
+  P.Limits.AddressSpaceMb = 4096;
+  P.InProcess = InProcess;
 
-  support::TaskResult R = support::Subprocess::run(
-      [&](int Fd) {
-        auto Send = [Fd](const std::string &Line) {
-          support::Subprocess::writeAll(Fd, Line + "\n");
-        };
-        return checkModule(M, Opts, Send);
+  IterOutcome Out;
+  support::Supervised::Result R = support::Supervised::run(
+      [&](support::Supervised::Sink &S) {
+        checkModule(M, Opts,
+                    [&S](const std::string &Line) { S.write(Line + "\n"); });
       },
-      Limits);
-
-  IterOutcome Out;
-  Out.Describe = R.describe();
-  parseCheckerLines(R.Payload, Out);
-
-  using Status = support::TaskResult::Status;
-  if (R.TimedOut || R.Killed) {
-    Out.K = IterOutcome::Kind::Hang;
-  } else if (R.St == Status::Signaled) {
-    Out.K = IterOutcome::Kind::Crash;
-    Out.Signal = R.TermSignal;
-  } else if (R.St == Status::SpawnFailed) {
-    Out.K = IterOutcome::Kind::SpawnFailed;
-  } else {
-    switch (R.ExitCode) {
-    case ExitPass:
-      Out.K = IterOutcome::Kind::Pass;
-      break;
-    case ExitMismatch:
-      Out.K = IterOutcome::Kind::Mismatch;
-      break;
-    case ExitSkip:
-      Out.K = IterOutcome::Kind::Skip;
-      break;
-    case ExitGeneratorBug:
-      Out.K = IterOutcome::Kind::GeneratorBug;
-      break;
-    default:
-      // Uncaught exception (125) or other abnormal exit: triage like
-      // a crash, with the exit code in the signal slot's place.
-      Out.K = IterOutcome::Kind::Crash;
-      Out.Signal = 0;
-      break;
-    }
+      P,
+      [&Out](const std::string &Payload, std::string &Why) {
+        Out = IterOutcome();
+        Why = "checker sent no verdict";
+        return parseCheckerLines(Payload, Out);
+      });
+  if (R.ok()) {
+    Out.Describe = InProcess ? "in-process" : "ok";
+    return Out;
   }
-  return Out;
-}
 
-/// In-process fallback (--no-sandbox): same classification, no
-/// containment.
-IterOutcome checkInProcess(const sir::Module &M,
-                           const testgen::OracleOptions &Opts) {
-  IterOutcome Out;
-  std::vector<std::string> Lines;
-  int Code = checkModule(
-      M, Opts, [&](const std::string &Line) { Lines.push_back(Line); });
-  std::string Payload;
-  for (const std::string &L : Lines)
-    Payload += L + "\n";
-  parseCheckerLines(Payload, Out);
-  Out.K = Code == ExitPass         ? IterOutcome::Kind::Pass
-          : Code == ExitMismatch   ? IterOutcome::Kind::Mismatch
-          : Code == ExitSkip       ? IterOutcome::Kind::Skip
-                                   : IterOutcome::Kind::GeneratorBug;
-  Out.Describe = "in-process";
+  using Kind = support::Supervised::Failure::Kind;
+  const support::Supervised::Failure &F = *R.Fail;
+  Out = IterOutcome();
+  parseCheckerLines(F.Payload, Out);
+  Out.Describe = F.Describe;
+  switch (F.K) {
+  case Kind::Timeout:
+    Out.K = IterOutcome::Kind::Hang;
+    break;
+  case Kind::Crash:
+    Out.K = IterOutcome::Kind::Crash;
+    Out.Signal = F.Signal;
+    break;
+  case Kind::SpawnFailed:
+    Out.K = IterOutcome::Kind::SpawnFailed;
+    break;
+  default:
+    // An uncaught exception, abnormal exit or verdict-less payload:
+    // triage like a crash, with 0 in the signal slot.
+    Out.K = IterOutcome::Kind::Crash;
+    Out.Signal = 0;
+    break;
+  }
   return Out;
 }
 
@@ -453,23 +435,20 @@ int main(int argc, char **argv) {
   campaign::Journal Journal;
   std::set<uint64_t> DoneBatches;
   if (UseJournal) {
-    uint64_t KeyH = support::fnv1a64("fpint-fuzz");
-    auto Fold = [&KeyH](const std::string &Part) {
-      KeyH = support::fnv1a64("\x1f" + Part, KeyH);
-    };
-    Fold(campaign::JournalSchema);
-    Fold(std::to_string(Iters));
-    Fold(Preset);
+    support::ContentKey Key;
+    Key.add("fpint-fuzz")
+        .add(campaign::JournalSchema)
+        .add(std::to_string(Iters))
+        .add(Preset);
     for (const std::string &Text : PassTexts)
-      Fold("passes:" + Text);
-    Fold(std::to_string(Midend));
+      Key.add("passes:" + Text);
+    Key.add(std::to_string(Midend));
     // Folded only when on so pre-existing campaign journals keep their
     // identity (the flag did not exist when they were written).
     if (RegAlloc)
-      Fold("regalloc");
-    Fold(std::to_string(CheckTiming));
-    Fold(std::to_string(BatchSize));
-    const std::string CampaignKey = support::hex64(KeyH);
+      Key.add("regalloc");
+    Key.add(std::to_string(CheckTiming)).add(std::to_string(BatchSize));
+    const std::string CampaignKey = Key.hex();
 
     std::vector<json::Value> Records;
     campaign::Journal::RecoveryInfo Info;
@@ -537,8 +516,7 @@ int main(int argc, char **argv) {
   }
 
   auto Check = [&](const sir::Module &M) {
-    return Sandbox ? checkSandboxed(M, OracleOpts, TimeoutMs)
-                   : checkInProcess(M, OracleOpts);
+    return checkSupervised(M, OracleOpts, TimeoutMs, !Sandbox);
   };
 
   const uint64_t Total = HaveOne ? 1 : Iters;
@@ -630,10 +608,9 @@ int main(int argc, char **argv) {
                 : TimeoutMs;
         testgen::InterestingPredicate SameBucket =
             [&](const sir::Module &Candidate) {
-              IterOutcome Probe =
-                  (WantKind == IterOutcome::Kind::Mismatch && !Sandbox)
-                      ? checkInProcess(Candidate, OracleOpts)
-                      : checkSandboxed(Candidate, OracleOpts, ProbeTimeout);
+              IterOutcome Probe = checkSupervised(
+                  Candidate, OracleOpts, ProbeTimeout,
+                  WantKind == IterOutcome::Kind::Mismatch && !Sandbox);
               if (Probe.K != WantKind)
                 return false;
               if (WantKind == IterOutcome::Kind::Crash)

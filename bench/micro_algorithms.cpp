@@ -95,20 +95,19 @@ void BM_CycleSimulator(benchmark::State &State) {
   Cfg.TrainArgs = W.TrainArgs;
   Cfg.RefArgs = W.TrainArgs; // Short trace for the microbenchmark.
   core::PipelineRun Run = core::compileAndMeasure(*W.M, Cfg);
-  vm::VM::Options Opts;
-  Opts.CollectTrace = true;
-  vm::VM Machine(*Run.Compiled, Opts);
-  auto R = Machine.run(W.TrainArgs);
-  if (!R.Ok)
-    State.SkipWithError("trace generation failed");
+  if (!Run.ok()) {
+    State.SkipWithError("compile failed");
+    return;
+  }
+  const timing::PackedTrace &Trace = Run.packedTrace();
   timing::MachineConfig Four = timing::MachineConfig::fourWay();
   for (auto _ : State) {
     timing::Simulator Sim(Four, Run.Alloc);
-    timing::SimStats S = Sim.run(Machine.trace());
+    timing::SimStats S = Sim.run(Trace);
     benchmark::DoNotOptimize(S.Cycles);
   }
   State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Machine.trace().size()));
+                          static_cast<int64_t>(Trace.size()));
 }
 BENCHMARK(BM_CycleSimulator);
 

@@ -92,7 +92,7 @@ PipelineRun core::compileAndMeasure(const sir::Module &Original,
   return Run;
 }
 
-const std::vector<vm::TraceEntry> &PipelineRun::refTrace() const {
+const timing::PackedTrace &PipelineRun::packedTrace() const {
   assert(ok() && "tracing a failed pipeline run");
   assert(Trace && "run was not produced by compileAndMeasure");
   std::call_once(Trace->Once, [this] {
@@ -106,17 +106,9 @@ const std::vector<vm::TraceEntry> &PipelineRun::refTrace() const {
     assert((R.Ok || R.Trap.Kind == RefResult.Trap.Kind) &&
            "trace generation failed");
     (void)R;
-    Trace->Entries = Machine.takeTrace();
-    Trace->Captures = 1;
-  });
-  return Trace->Entries;
-}
-
-const timing::PackedTrace &PipelineRun::packedTrace() const {
-  assert(Trace && "run was not produced by compileAndMeasure");
-  std::call_once(Trace->PackedOnce, [this] {
     Trace->Packed = std::make_shared<const timing::PackedTrace>(
-        timing::PackedTrace::build(refTrace(), Alloc));
+        timing::PackedTrace::build(Machine.takeTrace(), Alloc));
+    Trace->Captures = 1;
   });
   return *Trace->Packed;
 }
@@ -129,18 +121,14 @@ timing::SimStats core::simulate(const PipelineRun &Run,
          "timing simulation needs register-allocated code");
   // Replay the cached ref-input trace: the dynamic instruction stream
   // depends only on the compiled module and ref args, never on the
-  // machine configuration, so one capture -- and one packed decode --
-  // serves every machine.
+  // machine configuration, so one capture -- decoded once -- serves
+  // every machine.
   timing::Simulator Sim(Machine, Run.Alloc);
-  auto RunOnce = [&]() -> timing::SimStats {
-    return Sim.fastPath() ? Sim.run(Run.packedTrace())
-                          : Sim.run(Run.refTrace());
-  };
   if (!stats::telemetryEnabled())
-    return RunOnce();
+    return Sim.run(Run.packedTrace());
   auto Breakdown = std::make_shared<stats::StallBreakdown>();
   Sim.setEventSink(Breakdown.get());
-  timing::SimStats Stats = RunOnce();
+  timing::SimStats Stats = Sim.run(Run.packedTrace());
   Stats.Telemetry = std::move(Breakdown);
   return Stats;
 }

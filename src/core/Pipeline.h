@@ -86,21 +86,17 @@ struct PassStat {
 /// input. The trace is a pure function of (compiled module, ref args)
 /// -- it does not depend on any timing::MachineConfig -- so one
 /// capture can be replayed against any number of machine
-/// configurations. Thread-safe: concurrent first requests race only
-/// on the call_once.
+/// configurations. The VM records the stream straight into the packed
+/// form and the static decode follows in the same step, so the handle
+/// holds exactly one trace. Thread-safe: concurrent first requests
+/// race only on the call_once.
 struct TraceHandle {
   std::once_flag Once;
-  std::vector<vm::TraceEntry> Entries;
+  std::shared_ptr<const timing::PackedTrace> Packed;
 
   /// Number of VM executions performed to fill this handle (0 until
-  /// the first refTrace() call, 1 after; never more).
+  /// the first refTrace()/packedTrace() call, 1 after; never more).
   unsigned Captures = 0;
-
-  /// Packed SoA decode of Entries for the simulator fast path, built
-  /// at most once per module (like the entries themselves) and shared
-  /// by every machine sweep. Same thread-safety story as Once.
-  std::once_flag PackedOnce;
-  std::shared_ptr<const timing::PackedTrace> Packed;
 };
 
 /// A compiled (partitioned + allocated) program with its measurements.
@@ -123,20 +119,20 @@ struct PipelineRun {
   std::vector<PassStat> PassStats;
 
   /// Cached ref-input trace (set by compileAndMeasure; shared so that
-  /// moving the run keeps the handle stable). TraceEntry values point
-  /// into *Compiled, so the trace is valid only while this run lives.
+  /// moving the run keeps the handle stable). The trace's static slots
+  /// point into *Compiled, so it is valid only while this run lives.
   std::shared_ptr<TraceHandle> Trace;
 
   bool ok() const { return Errors.empty() && OutputsMatchOriginal; }
 
-  /// The ref-input dynamic trace, captured on first use and replayed
-  /// thereafter. Requires ok() and register-allocated code.
-  const std::vector<vm::TraceEntry> &refTrace() const;
-
-  /// The packed SoA decode of refTrace() (machine-independent, like
-  /// the trace itself), built on first use and reused across every
-  /// MachineConfig. Requires ok() and register-allocated code.
+  /// The ref-input dynamic trace, captured and decoded on first use
+  /// and reused across every MachineConfig. Requires ok() and
+  /// register-allocated code. When the ref run traps deterministically
+  /// it is the prefix before the trapping instruction.
   const timing::PackedTrace &packedTrace() const;
+
+  /// The same object as packedTrace(), under its older name.
+  const timing::PackedTrace &refTrace() const { return packedTrace(); }
 };
 
 /// Compiles \p Original per \p Config and measures it functionally.

@@ -17,9 +17,11 @@
 ///    per process; all callers share one immutable PipelineRun.
 ///  * simulate(): memoizes core::simulate keyed by (run identity,
 ///    MachineConfig::canonicalKey()). Together with the run's cached
-///    ref-input trace (PipelineRun::refTrace), the functional VM
-///    executes at most once per compiled module no matter how many
-///    machines it is simulated on.
+///    ref-input trace (PipelineRun::packedTrace, captured and decoded
+///    in one step), the functional VM executes at most once per
+///    compiled module no matter how many machines it is simulated on.
+///    A cached run keeps that one packed trace, and no entry vector,
+///    for the cache's lifetime.
 ///
 /// Thread-safety: both layers are safe to call from thread-pool
 /// workers. A second request for an in-flight key blocks on the

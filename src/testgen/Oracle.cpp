@@ -11,6 +11,7 @@
 #include "vm/VM.h"
 
 #include <sstream>
+#include <utility>
 
 using namespace fpint;
 using namespace fpint::testgen;
@@ -83,17 +84,17 @@ struct RunImage {
   std::vector<uint8_t> Globals;
 };
 
+/// Records the trace into \p TraceOut when it is non-null.
 RunImage runFunctional(const sir::Module &M, const std::vector<int32_t> &Args,
-                       uint64_t MaxSteps, bool WithTrace,
-                       std::vector<vm::TraceEntry> *TraceOut) {
+                       uint64_t MaxSteps, vm::Trace *TraceOut) {
   vm::VM::Options Opts;
   Opts.MaxSteps = MaxSteps;
-  Opts.CollectTrace = WithTrace;
+  Opts.CollectTrace = TraceOut != nullptr;
   vm::VM Machine(M, Opts);
   RunImage Image;
   Image.Result = Machine.run(Args);
   Image.Globals = Machine.globalImage();
-  if (WithTrace && TraceOut)
+  if (TraceOut)
     *TraceOut = Machine.takeTrace();
   return Image;
 }
@@ -106,8 +107,7 @@ public:
   OracleReport run() {
     if (Opts.Progress)
       Opts.Progress("baseline");
-    Baseline = runFunctional(M, Opts.Args, Opts.BaselineMaxSteps,
-                             /*WithTrace=*/false, nullptr);
+    Baseline = runFunctional(M, Opts.Args, Opts.BaselineMaxSteps, nullptr);
     if (!Baseline.Result.Ok) {
       // Resource limits say nothing about the program; skip. A
       // deterministic trap is a semantic outcome every variant must
@@ -159,10 +159,10 @@ private:
     // Re-execute the compiled module ourselves: the oracle compares
     // more state than the pipeline does (exit value, memory image) and
     // must observe any mutator-injected bug.
-    std::vector<vm::TraceEntry> Trace;
+    vm::Trace Trace;
     const uint64_t CompiledBudget = Opts.BaselineMaxSteps * 4 + 10000;
-    RunImage Compiled = runFunctional(*Run.Compiled, Opts.Args, CompiledBudget,
-                                      /*WithTrace=*/true, &Trace);
+    RunImage Compiled =
+        runFunctional(*Run.Compiled, Opts.Args, CompiledBudget, &Trace);
 
     // Trap equivalence: the compiled program must stop exactly the way
     // the original did -- same deterministic kind, or not at all.
@@ -185,7 +185,7 @@ private:
     crossCheckStats(V.Name, Run, Trace);
     if (Opts.CheckTiming && Config.RunRegisterAllocation &&
         Run.Alloc.Errors.empty())
-      crossCheckTiming(V.Name, Run, Trace);
+      crossCheckTiming(V.Name, Run, std::move(Trace));
   }
 
   void compareFunctional(const std::string &Name, const RunImage &Compiled,
@@ -233,16 +233,17 @@ private:
   /// The stats subsystem counts dynamic instructions from the block
   /// profile; the trace lists them one by one. Both views must agree.
   void crossCheckStats(const std::string &Name, const core::PipelineRun &Run,
-                       const std::vector<vm::TraceEntry> &Trace) {
+                       const vm::Trace &Trace) {
     uint64_t Fpa = 0, NativeFp = 0, Loads = 0, Stores = 0;
-    for (const vm::TraceEntry &TE : Trace) {
-      if (TE.I->inFpa())
+    for (uint32_t Slot : Trace.OpIdx) {
+      const sir::Instruction &I = *Trace.Slots[Slot].I;
+      if (I.inFpa())
         ++Fpa;
-      if (sir::isFpOpcode(TE.I->op()))
+      if (sir::isFpOpcode(I.op()))
         ++NativeFp;
-      if (TE.I->isLoad())
+      if (I.isLoad())
         ++Loads;
-      if (TE.I->isStore())
+      if (I.isStore())
         ++Stores;
     }
     auto Check = [&](const char *What, uint64_t StatsVal, uint64_t TraceVal) {
@@ -264,7 +265,9 @@ private:
   /// cycle loops run -- the fast path is differentially checked against
   /// the reference loop on every oracle iteration.
   void crossCheckTiming(const std::string &Name, const core::PipelineRun &Run,
-                        const std::vector<vm::TraceEntry> &Trace) {
+                        vm::Trace &&Raw) {
+    const timing::PackedTrace Trace =
+        timing::PackedTrace::build(std::move(Raw), Run.Alloc);
     timing::Simulator Sim(Opts.Machine, Run.Alloc);
 
     timing::SimStats Stats, FastStats;
@@ -300,9 +303,11 @@ private:
             FastStats.IntIdleFpBusyCycles);
 
     uint64_t FpSide = 0;
-    for (const vm::TraceEntry &TE : Trace)
-      if (TE.I->inFpa() || sir::isFpOpcode(TE.I->op()))
+    for (uint32_t Slot : Trace.OpIdx) {
+      const sir::Instruction &I = *Trace.Slots[Slot].I;
+      if (I.inFpa() || sir::isFpOpcode(I.op()))
         ++FpSide;
+    }
 
     if (Stats.Instructions != Trace.size())
       mismatch(Name, "simulator retired " + std::to_string(Stats.Instructions) +

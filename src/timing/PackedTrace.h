@@ -5,34 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A cache-friendly structure-of-arrays encoding of a VM dynamic trace,
-/// pre-decoded for the timing simulator's fast path.
+/// The VM's dynamic trace, pre-decoded for the timing simulator.
 ///
-/// The reference simulator walks a `std::vector<vm::TraceEntry>` and
-/// chases `const sir::Instruction *` pointers on every dynamic
-/// instruction: opcode class, latency, subsystem, and renamed operand
-/// identities are re-derived per fetch through a per-run hash map. A
-/// PackedTrace performs that decode exactly once per compiled module:
+/// The VM records its dynamic stream directly in structure-of-arrays
+/// form (vm::Trace): a small table of the static instructions that
+/// executed, and per dynamic instruction the index of its static slot,
+/// its effective memory address, and its branch-taken bit. A
+/// PackedTrace adopts that stream as is -- the arrays are moved in,
+/// never copied or re-walked -- and adds one dense `PackedOp` record
+/// per executed static instruction (execution class, FU latency,
+/// unpipelined/load/store/branch flags, packed def/use architectural
+/// register ids from the regalloc ArchIndex map). The set of static
+/// instructions is small, so the decode table stays hot in L1, and the
+/// fast cycle loop never chases an instruction pointer.
 ///
-///  * per *static* instruction, one dense `PackedOp` record (execution
-///    class, FU latency, unpipelined/load/store/branch flags, packed
-///    def/use architectural register ids from the regalloc ArchIndex
-///    map) -- the set of static instructions is small, so the table
-///    stays hot in L1;
-///  * per *dynamic* instruction, three flat parallel arrays: the index
-///    of its PackedOp, its effective memory address, and its
-///    branch-taken bit.
-///
-/// Like the entry vector it is derived from, a PackedTrace is a pure
-/// function of (compiled module, ref input) -- it is independent of any
-/// timing::MachineConfig, so one build serves every machine sweep. It
-/// is cached on core::TraceHandle beside the entries (built at most
-/// once per module) and borrowed by every simulation.
-///
-/// The encoding is lossless: entry(i) reconstructs the exact
-/// vm::TraceEntry the packer consumed (asserted field-for-field by
-/// tests/SimulatorTest.cpp), which is also how the reference loop runs
-/// from a PackedTrace when the fast path is disabled.
+/// A PackedTrace is a pure function of (compiled module, ref input) --
+/// it is independent of any timing::MachineConfig, so one build serves
+/// every machine sweep. core::TraceHandle captures and decodes it in a
+/// single step, at most once per compiled module, and every simulation
+/// borrows it. The reference loop runs from the same object through
+/// the inherited vm::Trace::entries() when the fast path is disabled.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +61,6 @@ struct PackedOp {
     InFpa = 1u << 7,          ///< Partitioned (",a") instruction.
   };
 
-  const sir::Instruction *I = nullptr; ///< Identity (round-trip/debug).
   uint32_t Pc = 0;     ///< Static instruction address (4-byte spaced).
   uint8_t Class = 0;   ///< sir::ExecClass of the opcode.
   uint8_t Latency = 1; ///< sir::execLatency(Class).
@@ -81,45 +72,24 @@ struct PackedOp {
   bool is(uint8_t Flag) const { return (Flags & Flag) != 0; }
 };
 
-/// The packed structure-of-arrays trace (see file comment).
-struct PackedTrace {
-  /// Dense static decode table; OpIdx values index into it.
+/// The VM's stream plus the decode of its static slots (see file
+/// comment). Ops[k] decodes Slots[k].
+struct PackedTrace : vm::Trace {
+  /// Dense static decode table, parallel to Slots.
   std::vector<PackedOp> Ops;
 
-  /// Parallel per-dynamic-instruction arrays, all of size().
-  std::vector<uint32_t> OpIdx;
-  std::vector<uint32_t> MemAddr; ///< Effective address (loads/stores).
-  std::vector<uint8_t> Taken;    ///< Outcome for conditional branches.
-
-  /// Whether any instruction carries the FPa (",a") partition bit; a
-  /// conventional (FpaEnabled == false) machine must reject such a
-  /// trace, checked once per run instead of once per fetch.
+  /// Whether any executed instruction carries the FPa (",a") partition
+  /// bit; a conventional (FpaEnabled == false) machine must reject such
+  /// a trace, checked once per run instead of once per fetch.
   bool HasFpa = false;
-
-  size_t size() const { return OpIdx.size(); }
-  bool empty() const { return OpIdx.empty(); }
 
   const PackedOp &op(size_t I) const { return Ops[OpIdx[I]]; }
 
-  /// Reconstructs dynamic entry \p I exactly as the packer consumed it.
-  vm::TraceEntry entry(size_t I) const {
-    const PackedOp &Op = Ops[OpIdx[I]];
-    vm::TraceEntry TE;
-    TE.I = Op.I;
-    TE.Pc = Op.Pc;
-    TE.MemAddr = MemAddr[I];
-    TE.Taken = Taken[I] != 0;
-    return TE;
-  }
-
-  /// The full reconstructed entry vector (reference-loop fallback and
-  /// round-trip tests).
-  std::vector<vm::TraceEntry> entries() const;
-
-  /// Decodes \p Trace once against \p Alloc's architectural register
-  /// map. The trace must come from a register-allocated module (every
-  /// operand of every traced instruction has an ArchIndex mapping).
-  static PackedTrace build(const std::vector<vm::TraceEntry> &Trace,
+  /// Adopts \p Trace and decodes each of its static slots once against
+  /// \p Alloc's architectural register map. The trace must come from a
+  /// register-allocated module (every operand of every traced
+  /// instruction has an ArchIndex mapping).
+  static PackedTrace build(vm::Trace &&Trace,
                            const regalloc::ModuleAlloc &Alloc);
 };
 

@@ -2,9 +2,10 @@
 //
 // Two implementations of the same machine live here (see Simulator.h):
 //
-//  * runReference -- the original cycle loop over vm::TraceEntry
-//    vectors, kept deliberately simple; it is the differential oracle
-//    for the fast path (FPINT_SIM_FAST=0, fpint-fuzz cross-check).
+//  * runReference -- the original cycle loop over the trace's
+//    vm::TraceEntry records, kept deliberately simple; it is the
+//    differential oracle for the fast path (FPINT_SIM_FAST=0, fpint-fuzz
+//    cross-check).
 //  * runFast -- the packed fast path: pre-decoded PackedOp records,
 //    one dense seq-indexed ring holding every in-flight instruction
 //    (wakeup scoreboard included), incremental window occupancy
@@ -156,28 +157,9 @@ Simulator::Simulator(const MachineConfig &ConfigIn,
 
 Simulator::~Simulator() = default;
 
-SimStats Simulator::run(const std::vector<TraceEntry> &Trace) {
-  auto T0 = std::chrono::steady_clock::now();
-  SimStats Stats;
-  if (UseFast) {
-    PackedTrace PT = PackedTrace::build(Trace, Alloc);
-    Stats = runFast(PT);
-  } else {
-    Stats = runReference(Trace);
-  }
-  Stats.SimWallMs = msSince(T0);
-  return Stats;
-}
-
 SimStats Simulator::run(const PackedTrace &Trace) {
   auto T0 = std::chrono::steady_clock::now();
-  SimStats Stats;
-  if (UseFast) {
-    Stats = runFast(Trace);
-  } else {
-    std::vector<TraceEntry> Entries = Trace.entries();
-    Stats = runReference(Entries);
-  }
+  SimStats Stats = UseFast ? runFast(Trace) : runReference(Trace);
   Stats.SimWallMs = msSince(T0);
   return Stats;
 }
@@ -186,7 +168,10 @@ SimStats Simulator::run(const PackedTrace &Trace) {
 // Reference loop (differential oracle; FPINT_SIM_FAST=0)
 //===----------------------------------------------------------------------===//
 
-SimStats Simulator::runReference(const std::vector<TraceEntry> &Trace) {
+SimStats Simulator::runReference(const PackedTrace &PT) {
+  // Walks records and decodes each static instruction itself, never
+  // PT's decode, so it stays an independent oracle for the fast loop.
+  const std::vector<TraceEntry> Trace = PT.entries();
   SimStats Stats;
   Impl &S = *State;
   S.reset(Config);
@@ -954,5 +939,5 @@ SimStats timing::simulateModule(const sir::Module &M,
   assert(R.Ok && "trace generation failed");
   (void)R;
   Simulator Sim(Config, Alloc);
-  return Sim.run(Machine.trace());
+  return Sim.run(PackedTrace::build(Machine.takeTrace(), Alloc));
 }

@@ -23,18 +23,20 @@
 ///    retirement.
 ///
 /// The dynamic instruction stream comes from the functional VM's trace
-/// of a register-allocated module; the regalloc ArchIndex map supplies
-/// each operand's architectural register identity for renaming.
+/// of a register-allocated module, decoded once into a
+/// timing::PackedTrace; the regalloc ArchIndex map supplies each
+/// operand's architectural register identity for renaming.
 ///
-/// Two cycle loops implement the same machine (docs/ARCHITECTURE.md,
-/// "Simulator fast path"):
+/// Two cycle loops implement the same machine behind the one entry
+/// point, run(const PackedTrace &) (docs/ARCHITECTURE.md, "Simulator
+/// fast path"):
 ///
 ///  * the *reference loop* -- the original, deliberately simple
-///    implementation over `vm::TraceEntry` vectors; kept alive as the
-///    differential oracle (`FPINT_SIM_FAST=0`, and every fpint-fuzz
-///    iteration races the two);
-///  * the *fast loop* (default) -- runs over a pre-decoded
-///    timing::PackedTrace, keeps all in-flight state in one dense
+///    implementation over the trace's `vm::TraceEntry` records; kept
+///    alive as the differential oracle (`FPINT_SIM_FAST=0`, and every
+///    fpint-fuzz iteration races the two);
+///  * the *fast loop* (default) -- runs over the pre-decoded
+///    timing::PackedTrace directly, keeps all in-flight state in one dense
 ///    seq-indexed ring (the wakeup scoreboard included), and jumps the
 ///    cycle counter over provably idle spans instead of ticking through
 ///    them. It is cycle-exact: SimStats and, with a sink attached, the
@@ -142,17 +144,12 @@ public:
   Simulator(const MachineConfig &Config, const regalloc::ModuleAlloc &Alloc);
   ~Simulator();
 
-  /// Runs \p Trace to completion and returns the statistics. Packs the
-  /// trace on the fly when the fast path is active; callers that
-  /// simulate one module on many machines should pack once and use the
-  /// PackedTrace overload instead (core::simulate does, via the
-  /// TraceHandle cache). Throws SimulationOverrun if the machine
-  /// cannot drain the trace.
-  SimStats run(const std::vector<vm::TraceEntry> &Trace);
-
-  /// Runs a pre-packed trace (no per-run decode). With the fast path
-  /// disabled the entries are reconstructed and fed to the reference
-  /// loop, so both overloads honor both paths.
+  /// Runs \p Trace to completion and returns the statistics. The
+  /// trace is decoded once, by PackedTrace::build, and may be replayed
+  /// on any number of machines (core::simulate shares one per compiled
+  /// module through core::TraceHandle). With the fast path disabled the
+  /// reference loop runs over Trace.entries(). Throws
+  /// SimulationOverrun if the machine cannot drain the trace.
   SimStats run(const PackedTrace &Trace);
 
   /// Attaches \p S to receive one CycleEvent per simulated cycle
@@ -178,7 +175,7 @@ private:
   stats::EventSink *Sink = nullptr;
   bool UseFast = true;
 
-  SimStats runReference(const std::vector<vm::TraceEntry> &Trace);
+  SimStats runReference(const PackedTrace &Trace);
   SimStats runFast(const PackedTrace &Trace);
 };
 

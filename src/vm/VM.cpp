@@ -5,6 +5,7 @@
 #include "sir/Printer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -19,7 +20,16 @@ using sir::RegClass;
 namespace {
 constexpr uint32_t GlobalBase = 0x1000;
 constexpr uint32_t CodeBase = 0x400000; // Synthetic text segment origin.
+constexpr uint32_t NoSlot = ~0u;
 } // namespace
+
+std::vector<TraceEntry> Trace::entries() const {
+  std::vector<TraceEntry> Out;
+  Out.reserve(size());
+  for (size_t I = 0; I < size(); ++I)
+    Out.push_back(entry(I));
+  return Out;
+}
 
 VM::VM(const sir::Module &M, Options Opts) : M(M), Opts(Opts) {
   Mem.assign(Opts.MemBytes, 0);
@@ -48,6 +58,7 @@ VM::VM(const sir::Module &M, Options Opts) : M(M), Opts(Opts) {
     Pc += F->numInstrIds() * 4;
     Pc = (Pc + 63u) & ~63u;
   }
+  NumSlots = (Pc - CodeBase) / 4;
 }
 
 uint32_t VM::pcOf(const Instruction &I) const {
@@ -154,6 +165,9 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
   if (Depth > Opts.MaxCallDepth)
     return trap(TrapKind::CallDepthExceeded,
                 "call depth limit exceeded in '" + F.name() + "'");
+
+  // Resolved once per frame so recording a step needs no lookup.
+  const uint32_t BasePc = Opts.CollectTrace ? FuncBasePc.at(&F) : 0;
 
   Frame Fr;
   Fr.F = &F;
@@ -264,14 +278,23 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     if (Opts.CollectProfile)
       ++Prof.DynInstrs;
 
-    TraceEntry TE;
-    if (Opts.CollectTrace) {
-      TE.I = &I;
-      TE.Pc = pcOf(I);
-    }
-    auto Record = [&]() {
-      if (Opts.CollectTrace)
-        Trace.push_back(TE);
+    // Appends this step to the trace once it has executed (a trapping
+    // instruction never reaches Record).
+    uint32_t MemAddr = 0;
+    auto Record = [&](bool Taken) {
+      if (!Opts.CollectTrace)
+        return;
+      assert(I.id() < F.numInstrIds() && "tracing a module not renumbered");
+      const uint32_t Pc = BasePc + I.id() * 4;
+      uint32_t &Slot = SlotIdx[(Pc - CodeBase) / 4];
+      if (Slot == NoSlot) {
+        Slot = static_cast<uint32_t>(Tr.Slots.size());
+        Tr.Slots.push_back({&I, Pc});
+      }
+      assert(Tr.Slots[Slot].I == &I && "instruction ids collide");
+      Tr.OpIdx.push_back(Slot);
+      Tr.MemAddr.push_back(MemAddr);
+      Tr.Taken.push_back(Taken ? 1 : 0);
     };
 
     bool BranchTaken = false;
@@ -389,7 +412,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
       if (!AddrOk)
         return Bail();
-      TE.MemAddr = A;
+      MemAddr = A;
       int32_t V;
       if (!loadWord(A, V))
         return Bail();
@@ -402,7 +425,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
       if (!AddrOk)
         return Bail();
-      TE.MemAddr = A;
+      MemAddr = A;
       uint8_t B;
       if (!loadByte(A, B))
         return Bail();
@@ -416,7 +439,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
       if (!AddrOk)
         return Bail();
-      TE.MemAddr = A;
+      MemAddr = A;
       if (!storeWord(A, DataUse(I, 0)))
         return Bail();
       break;
@@ -426,7 +449,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
       if (!AddrOk)
         return Bail();
-      TE.MemAddr = A;
+      MemAddr = A;
       if (!storeByte(A, static_cast<uint8_t>(DataUse(I, 0) & 0xFF)))
         return Bail();
       break;
@@ -455,8 +478,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       break;
 
     case Opcode::Jump:
-      TE.Taken = true;
-      Record();
+      Record(true);
       BB = I.target();
       Idx = 0;
       CountedBlock = false;
@@ -477,7 +499,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
         else
           CallArgs.push_back(IntUse(I, A));
       }
-      Record();
+      Record(false);
       int32_t CallRet = 0;
       if (!exec(*Callee, CallArgs, CallRet, Depth + 1))
         return Bail();
@@ -488,7 +510,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     }
     case Opcode::Ret:
       RetValue = I.uses().empty() ? 0 : IntUse(I, 0);
-      Record();
+      Record(false);
       StackTop += FrameBytes;
       return true;
 
@@ -558,8 +580,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     }
 
     if (I.isCondBranch()) {
-      TE.Taken = BranchTaken;
-      Record();
+      Record(BranchTaken);
       if (BranchTaken) {
         BB = I.target();
         Idx = 0;
@@ -570,7 +591,7 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       continue;
     }
 
-    Record();
+    Record(false);
     ++Idx;
   }
 }
@@ -596,7 +617,9 @@ VM::Result VM::run(const std::vector<int32_t> &MainArgs) {
   }
 
   Output.clear();
-  Trace.clear();
+  Tr = vm::Trace();
+  if (Opts.CollectTrace)
+    SlotIdx.assign(NumSlots, NoSlot);
   Prof = Profile();
 
   int32_t Ret = 0;

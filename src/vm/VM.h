@@ -15,7 +15,10 @@
 ///     execution profiles the same way).
 ///  3. Trace generator: the dynamic instruction stream (with branch
 ///     outcomes and effective addresses) drives the cycle-level timing
-///     simulator, mirroring the SimpleScalar-derived methodology.
+///     simulator, mirroring the SimpleScalar-derived methodology. It is
+///     recorded straight into the structure-of-arrays vm::Trace that
+///     timing::PackedTrace adopts without a second pass, so a run's
+///     trace exists in exactly one form.
 ///
 /// Semantics: 32-bit two's-complement integer arithmetic with wrapping;
 /// division by zero yields 0 (remainder yields the dividend) so that
@@ -38,13 +41,48 @@
 namespace fpint {
 namespace vm {
 
-/// One dynamically executed instruction, as consumed by the timing
-/// simulator.
+/// One dynamically executed instruction, reconstructed from a Trace.
 struct TraceEntry {
   const sir::Instruction *I = nullptr;
   uint32_t Pc = 0;      ///< Static instruction address (4-byte spaced).
   uint32_t MemAddr = 0; ///< Effective address for loads/stores.
-  bool Taken = false;   ///< Outcome for conditional branches.
+  bool Taken = false;   ///< Outcome for conditional branches and jumps.
+};
+
+/// The dynamic instruction stream of one run, in structure-of-arrays
+/// form: a small static table of the instructions that executed, plus
+/// three flat per-dynamic-instruction arrays. The VM appends to it
+/// directly; timing::PackedTrace adopts it and adds a decode of the
+/// static table.
+struct Trace {
+  /// One executed static instruction.
+  struct Slot {
+    const sir::Instruction *I = nullptr;
+    uint32_t Pc = 0; ///< Static instruction address (4-byte spaced).
+  };
+
+  /// Every instruction that executed, in order of first execution;
+  /// OpIdx values index it. An instruction that trapped is not in it
+  /// unless it also executed to completion.
+  std::vector<Slot> Slots;
+
+  /// Parallel per-dynamic-instruction arrays, all of size().
+  std::vector<uint32_t> OpIdx;
+  std::vector<uint32_t> MemAddr; ///< Effective address (loads/stores).
+  std::vector<uint8_t> Taken;    ///< Conditional branch outcome; jumps 1.
+
+  size_t size() const { return OpIdx.size(); }
+  bool empty() const { return OpIdx.empty(); }
+
+  /// Dynamic entry \p I as one record.
+  TraceEntry entry(size_t I) const {
+    const Slot &S = Slots[OpIdx[I]];
+    return {S.I, S.Pc, MemAddr[I], Taken[I] != 0};
+  }
+
+  /// The whole stream as records (the timing simulator's reference
+  /// loop, trace printing and tests).
+  std::vector<TraceEntry> entries() const;
 };
 
 /// Per-module execution profile.
@@ -99,11 +137,13 @@ public:
   /// MainArgs.size() formals.
   Result run(const std::vector<int32_t> &MainArgs = {});
 
-  const std::vector<TraceEntry> &trace() const { return Trace; }
+  /// The trace of the last run. When the run trapped it holds the
+  /// prefix before the trapping instruction.
+  const vm::Trace &trace() const { return Tr; }
 
-  /// Moves the collected trace out of the VM (for callers that cache
-  /// it beyond the VM's lifetime without copying).
-  std::vector<TraceEntry> takeTrace() { return std::move(Trace); }
+  /// Moves the collected trace out of the VM (for callers that keep it
+  /// beyond the VM's lifetime without copying).
+  vm::Trace takeTrace() { return std::move(Tr); }
   const Profile &profile() const { return Prof; }
 
   /// Static code address of \p I (valid after construction).
@@ -143,6 +183,7 @@ private:
   std::vector<uint8_t> Mem;
   std::unordered_map<std::string, uint32_t> GlobalAddrs;
   std::unordered_map<const sir::Function *, uint32_t> FuncBasePc;
+  uint32_t NumSlots = 0; ///< Words of synthetic text; slot = word index.
   uint32_t StackTop = 0;
   uintptr_t NativeStackBase = 0;
 
@@ -154,7 +195,9 @@ private:
   uint64_t Steps = 0;
   Trap CurTrap;
   std::vector<int32_t> Output;
-  std::vector<TraceEntry> Trace;
+  vm::Trace Tr;
+  /// Text word index -> index into Tr.Slots (NoSlot until it runs).
+  std::vector<uint32_t> SlotIdx;
   Profile Prof;
 };
 

@@ -3,8 +3,10 @@
 // The fast cycle loop (packed SoA trace, dense in-flight ring,
 // event-driven cycle skipping) must be bit-identical to the reference
 // loop: same SimStats, same telemetry breakdown, on every fixture and
-// machine. These tests pin that contract, the PackedTrace round-trip,
-// and the typed SimulationOverrun condition.
+// machine. These tests pin that contract, the packed trace the VM
+// records (checked against facts computed without it), its single
+// capture per compiled module, the prefix trace of a trapping run, and
+// the typed SimulationOverrun condition.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,12 @@
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <thread>
 
 using namespace fpint;
 using namespace fpint::timing;
@@ -106,7 +114,7 @@ TEST(FastPath, MatchesReferenceAcrossFixturesAndMachines) {
         SimStats Ref = runPath(Run, M, /*Fast=*/false);
         SimStats Fast = runPath(Run, M, /*Fast=*/true);
         expectStatsEqual(Ref, Fast, Label);
-        // The packed overload must agree with the entry-vector one.
+        // refTrace() and packedTrace() are one object; both names agree.
         Simulator Sim(M, Run.Alloc);
         Sim.setFastPath(true);
         expectStatsEqual(Ref, Sim.run(Run.packedTrace()), Label + "/packed");
@@ -153,31 +161,40 @@ TEST(FastPath, TelemetryIdenticalWithCycleSkipping) {
 }
 
 //===----------------------------------------------------------------------===//
-// (c) PackedTrace round-trips every TraceEntry field.
+// (c) The packed stream the VM records agrees with facts computed
+// without it.
 //===----------------------------------------------------------------------===//
 
-TEST(PackedTraceTest, RoundTripsEveryEntryField) {
+TEST(PackedTraceTest, StreamAgreesWithIndependentFacts) {
   for (const char *Src :
        {fixtures::IntVectorSum, fixtures::InvalidateForCall,
         fixtures::MemoryFreeRand}) {
     PipelineRun Run = compileSrc(Src, partition::Scheme::Advanced);
-    const std::vector<vm::TraceEntry> &Trace = Run.refTrace();
-    PackedTrace PT = PackedTrace::build(Trace, Run.Alloc);
-    ASSERT_EQ(PT.size(), Trace.size());
-    for (size_t I = 0; I < Trace.size(); ++I) {
-      vm::TraceEntry E = PT.entry(I);
-      ASSERT_EQ(E.I, Trace[I].I) << "entry " << I;
-      ASSERT_EQ(E.Pc, Trace[I].Pc) << "entry " << I;
-      ASSERT_EQ(E.MemAddr, Trace[I].MemAddr) << "entry " << I;
-      ASSERT_EQ(E.Taken, Trace[I].Taken) << "entry " << I;
+    const PackedTrace &PT = Run.packedTrace();
+    // None of these fixtures traps: the stream is every executed step.
+    ASSERT_EQ(PT.size(), Run.RefResult.Steps);
+    const vm::VM Layout(*Run.Compiled);
+    const std::vector<vm::TraceEntry> Entries = PT.entries();
+    ASSERT_EQ(Entries.size(), PT.size());
+    for (size_t I = 0; I < PT.size(); ++I) {
+      const vm::TraceEntry E = PT.entry(I);
+      const sir::Instruction &In = *E.I;
+      ASSERT_EQ(E.Pc, Layout.pcOf(In)) << "entry " << I;
+      if (E.Taken) {
+        ASSERT_TRUE(In.isCondBranch() || In.op() == sir::Opcode::Jump)
+            << "entry " << I;
+      }
+      if (!In.isLoad() && !In.isStore()) {
+        ASSERT_EQ(E.MemAddr, 0u) << "entry " << I;
+      }
+      // The bulk reconstruction agrees with the per-entry one.
+      ASSERT_EQ(Entries[I].I, E.I) << "entry " << I;
+      ASSERT_EQ(Entries[I].Pc, E.Pc) << "entry " << I;
+      ASSERT_EQ(Entries[I].MemAddr, E.MemAddr) << "entry " << I;
+      ASSERT_EQ(Entries[I].Taken, E.Taken) << "entry " << I;
     }
-    // The bulk reconstruction agrees with the per-entry one.
-    std::vector<vm::TraceEntry> Rebuilt = PT.entries();
-    ASSERT_EQ(Rebuilt.size(), Trace.size());
-    // And a partitioned trace must carry the FPa marker.
-    if (Run.Stats.Fpa > 0) {
-      EXPECT_TRUE(PT.HasFpa);
-    }
+    // The FPa marker means "some executed instruction is FPa".
+    EXPECT_EQ(PT.HasFpa, Run.Stats.Fpa > 0);
   }
 }
 
@@ -187,8 +204,62 @@ TEST(PackedTraceTest, CachedOnTraceHandleAcrossMachines) {
   const PackedTrace &A = Run.packedTrace();
   const PackedTrace &B = Run.packedTrace();
   EXPECT_EQ(&A, &B); // Built once, shared by every machine sweep.
+  EXPECT_EQ(&Run.refTrace(), &Run.packedTrace()); // One trace, two names.
   EXPECT_EQ(A.size(), Run.refTrace().size());
   EXPECT_EQ(Run.Trace->Captures, 1u);
+
+  // Concurrent first requests capture once and share the result.
+  PipelineRun Fresh =
+      compileSrc(fixtures::InvalidateForCall, partition::Scheme::Advanced);
+  const PackedTrace *Seen[4] = {};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&Fresh, &Seen, T] {
+      Seen[T] = T % 2 ? &Fresh.refTrace() : &Fresh.packedTrace();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Fresh.Trace->Captures, 1u);
+  for (const PackedTrace *P : Seen)
+    EXPECT_EQ(P, &Fresh.packedTrace());
+}
+
+//===----------------------------------------------------------------------===//
+// (d) A deterministically trapping run is simulated on its prefix.
+//===----------------------------------------------------------------------===//
+
+TEST(PackedTraceTest, TrappingRunSimulatesItsPrefix) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Files;
+  for (const auto &E : fs::directory_iterator(
+           fs::path(FPINT_SOURCE_DIR) / "tests" / "corpus" / "traps"))
+    if (E.path().extension() == ".sir")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+
+  for (const fs::path &File : Files) {
+    std::ifstream In(File);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    sir::ParseResult PR = sir::parseModule(Text.str());
+    ASSERT_TRUE(PR.ok()) << File << ": " << PR.Error;
+    PipelineConfig Cfg;
+    Cfg.Scheme = partition::Scheme::Advanced;
+    PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
+    ASSERT_TRUE(Run.ok()) << File;
+    ASSERT_TRUE(vm::isDeterministicTrap(Run.RefResult.Trap.Kind)) << File;
+    // Steps counts the trapping instruction; the trace does not.
+    EXPECT_EQ(Run.refTrace().size() + 1, Run.RefResult.Steps) << File;
+    for (const MachineConfig &M :
+         {MachineConfig::fourWay(), MachineConfig::eightWay()}) {
+      std::string Label = File.filename().string() + "/" + M.Name;
+      SimStats Ref = runPath(Run, M, /*Fast=*/false);
+      SimStats Fast = runPath(Run, M, /*Fast=*/true);
+      expectStatsEqual(Ref, Fast, Label);
+      EXPECT_EQ(Fast.Instructions, Run.refTrace().size()) << Label;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

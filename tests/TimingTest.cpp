@@ -313,7 +313,8 @@ TEST(Simulator, InstructionCountMatchesTrace) {
   auto R = Machine.run();
   ASSERT_TRUE(R.Ok);
   Simulator Sim(MachineConfig::fourWay(), Run.Alloc);
-  SimStats St = Sim.run(Machine.trace());
+  SimStats St =
+      Sim.run(PackedTrace::build(vm::Trace(Machine.trace()), Run.Alloc));
   EXPECT_EQ(St.Instructions, Machine.trace().size());
   EXPECT_GT(St.Cycles, 0u);
 }

@@ -367,7 +367,7 @@ loop:
   ASSERT_TRUE(R.Ok) << R.Error;
 
   unsigned Branches = 0, Taken = 0, Loads = 0;
-  for (const TraceEntry &TE : Machine.trace()) {
+  for (const TraceEntry &TE : Machine.trace().entries()) {
     if (TE.I->isCondBranch()) {
       ++Branches;
       Taken += TE.Taken;
@@ -382,7 +382,7 @@ loop:
   EXPECT_EQ(Loads, 1u);
   // PCs are 4-byte spaced and monotone within a straight-line block.
   ASSERT_GE(Machine.trace().size(), 2u);
-  EXPECT_EQ(Machine.trace()[1].Pc, Machine.trace()[0].Pc + 4);
+  EXPECT_EQ(Machine.trace().entry(1).Pc, Machine.trace().entry(0).Pc + 4);
 }
 
 TEST(VM, InfiniteLoopHitsBudget) {

@@ -322,15 +322,18 @@ int main(int argc, char **argv) {
     TraceOpts.CollectTrace = true;
     vm::VM Machine(*Run.Compiled, TraceOpts);
     auto TR = Machine.run(Args);
-    if (!TR.Ok) {
+    // A deterministic trap is a property of the program, which the
+    // pipeline accepted above: print the prefix that ran before it.
+    if (!TR.Ok && !vm::isDeterministicTrap(TR.Trap.Kind)) {
       std::fprintf(stderr, "fpintc: trace run failed: %s\n",
                    TR.Error.c_str());
       return 1;
     }
+    const vm::Trace &Trace = Machine.trace();
     std::printf("# pc        instruction%*s taken/addr\n", 24, "");
-    size_t Limit = std::min<size_t>(TraceCount, Machine.trace().size());
+    size_t Limit = std::min<size_t>(TraceCount, Trace.size());
     for (size_t T = 0; T < Limit; ++T) {
-      const vm::TraceEntry &TE = Machine.trace()[T];
+      const vm::TraceEntry TE = Trace.entry(T);
       std::string Text = sir::toString(*TE.I);
       std::printf("%08x  %-34s", TE.Pc, Text.c_str());
       if (TE.I->isCondBranch())
@@ -339,7 +342,9 @@ int main(int argc, char **argv) {
         std::printf("  @%08x", TE.MemAddr);
       std::printf("\n");
     }
-    std::printf("... (%zu entries total)\n", Machine.trace().size());
+    std::printf("... (%zu entries total)\n", Trace.size());
+    if (!TR.Ok)
+      std::printf("# trap: %s\n", TR.Trap.message().c_str());
   }
   if (!SimMachine.empty()) {
     if (!RegAlloc) {

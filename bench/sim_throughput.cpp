@@ -6,17 +6,20 @@
 ///
 /// \file
 /// Not a paper figure: measures the timing simulator itself. For each
-/// Figure 10 workload (advanced scheme, 8-way machine) the same packed
-/// trace is simulated with the reference cycle loop and with the fast
-/// path (packed SoA + dense ring + cycle skipping), best-of-N wall
-/// time each, and the table reports simulated cycles per second plus
-/// the fast/reference speedup. The summary line is the tracked metric:
-/// the fast path must stay >= 2x the reference loop (gated only under
-/// --strict / FPINT_STRICT=1; wall-clock numbers are inherently
-/// machine-dependent, so the regular regression gate never reads
-/// them).
+/// Figure 10 workload (advanced scheme) the same packed trace is
+/// simulated with the reference cycle loop and with the fast path
+/// (packed SoA + wakeup-driven select + cycle skipping), best-of-N wall
+/// time each, on three machines: the Table 1 8-way and 4-way, and the
+/// 8-way cut to one INT and one FP unit (a narrow point where select
+/// keeps running out of units). The table reports simulated cycles per
+/// second per (workload, machine) plus the fast/reference speedup, and
+/// a per-machine line gives the absolute aggregate Mcyc/s. The summary
+/// line is the tracked metric, over the 8-way rows: the fast path must
+/// stay >= 2x the reference loop (gated only under --strict /
+/// FPINT_STRICT=1; wall-clock numbers are inherently machine-dependent,
+/// so the regular regression gate never reads them).
 ///
-/// Every point is also recorded through the run caches, so with
+/// Every 8-way point is also recorded through the run caches, so with
 /// FPINT_TELEMETRY=1 the bench_out/sim_throughput.json report carries
 /// the sim_wall_ms / sim_cycles_per_sec fields of the default
 /// (fast-path) simulation.
@@ -27,6 +30,7 @@
 #include "support/Table.h"
 
 #include <chrono>
+#include <iterator>
 
 using namespace fpint;
 
@@ -59,63 +63,85 @@ std::string mcps(uint64_t Cycles, double WallMs) {
 int main(int argc, char **argv) {
   bench::ScopedBenchReport Report("sim_throughput", argc, argv);
   std::printf("Simulator throughput: fast path vs reference loop "
-              "(fig10 workloads, 8-way)\n\n");
+              "(fig10 workloads, 8-way, 4-way, 8-way fu1+1)\n\n");
 
-  const timing::MachineConfig Machine = timing::MachineConfig::eightWay();
+  timing::MachineConfig Narrow = timing::MachineConfig::eightWay();
+  Narrow.Name = "8-way fu1+1";
+  Narrow.IntUnits = Narrow.FpUnits = 1;
+  // The first machine is the summary line's.
+  const timing::MachineConfig Machines[] = {
+      timing::MachineConfig::eightWay(), timing::MachineConfig::fourWay(),
+      Narrow};
+  constexpr size_t NumMachines = std::size(Machines);
   const int Reps = bench::envInt("FPINT_SIM_REPS", 5);
 
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
-  Table T({"benchmark", "dyn instrs", "cycles", "ref Mcyc/s", "fast Mcyc/s",
-           "speedup"});
+  Table T({"benchmark", "machine", "dyn instrs", "cycles", "ref Mcyc/s",
+           "fast Mcyc/s", "speedup"});
 
-  // Totals feed the summary metric; runMatrix evaluates rows on the
-  // pool, so guard them.
+  // Per-machine totals feed the summary lines; runMatrix evaluates rows
+  // on the pool, so guard them.
+  struct Totals {
+    uint64_t Cycles = 0;
+    double RefMs = 0, FastMs = 0;
+  };
   std::mutex TotalsMu;
-  uint64_t TotalCycles = 0;
-  double TotalRefMs = 0, TotalFastMs = 0;
+  Totals Sum[NumMachines];
 
   bench::runMatrix(Ws, T, [&](const workloads::Workload &W) {
     bench::RunPtr Run =
         bench::compileWorkload(W, partition::Scheme::Advanced);
     // Record the default simulation in the telemetry report (cached;
     // carries sim_wall_ms / sim_cycles_per_sec in bench_out JSON).
-    bench::simulateRun(Run, Machine);
+    bench::simulateRun(Run, Machines[0]);
 
     const timing::PackedTrace &PT = Run->packedTrace();
-    timing::Simulator Sim(Machine, Run->Alloc);
+    bench::MatrixRows Rows;
+    for (size_t MI = 0; MI < NumMachines; ++MI) {
+      const timing::MachineConfig &Machine = Machines[MI];
+      timing::Simulator Sim(Machine, Run->Alloc);
 
-    timing::SimStats RefStats, FastStats;
-    Sim.setFastPath(false);
-    double RefMs = bestWallMs(Reps, [&] { RefStats = Sim.run(PT); });
-    Sim.setFastPath(true);
-    double FastMs = bestWallMs(Reps, [&] { FastStats = Sim.run(PT); });
+      timing::SimStats RefStats, FastStats;
+      Sim.setFastPath(false);
+      double RefMs = bestWallMs(Reps, [&] { RefStats = Sim.run(PT); });
+      Sim.setFastPath(true);
+      double FastMs = bestWallMs(Reps, [&] { FastStats = Sim.run(PT); });
 
-    if (RefStats.Cycles != FastStats.Cycles)
-      throw bench::CompileError(
-          "fast path diverged from reference on " + std::string(W.Name) +
-          ": " + std::to_string(RefStats.Cycles) + " vs " +
-          std::to_string(FastStats.Cycles) + " cycles");
+      if (RefStats.Cycles != FastStats.Cycles)
+        throw bench::CompileError(
+            "fast path diverged from reference on " + std::string(W.Name) +
+            " (" + Machine.Name + "): " + std::to_string(RefStats.Cycles) +
+            " vs " + std::to_string(FastStats.Cycles) + " cycles");
 
-    {
-      std::lock_guard<std::mutex> Lock(TotalsMu);
-      TotalCycles += RefStats.Cycles;
-      TotalRefMs += RefMs;
-      TotalFastMs += FastMs;
+      {
+        std::lock_guard<std::mutex> Lock(TotalsMu);
+        Sum[MI].Cycles += RefStats.Cycles;
+        Sum[MI].RefMs += RefMs;
+        Sum[MI].FastMs += FastMs;
+      }
+      double Speedup = FastMs > 0.0 ? RefMs / FastMs : 0.0;
+      Rows.push_back({W.Name, Machine.Name, Table::num(RefStats.Instructions),
+                      Table::num(RefStats.Cycles), mcps(RefStats.Cycles, RefMs),
+                      mcps(FastStats.Cycles, FastMs),
+                      Table::fmt(Speedup, 2) + "x"});
     }
-    double Speedup = FastMs > 0.0 ? RefMs / FastMs : 0.0;
-    return bench::MatrixRows{
-        {W.Name, Table::num(RefStats.Instructions),
-         Table::num(RefStats.Cycles), mcps(RefStats.Cycles, RefMs),
-         mcps(FastStats.Cycles, FastMs), Table::fmt(Speedup, 2) + "x"}};
+    return Rows;
   });
   T.print();
 
-  double Overall = TotalFastMs > 0.0 ? TotalRefMs / TotalFastMs : 0.0;
+  std::printf("\n");
+  for (size_t MI = 0; MI < NumMachines; ++MI)
+    std::printf("%s: reference %s Mcyc/s, fast %s Mcyc/s\n",
+                Machines[MI].Name, mcps(Sum[MI].Cycles, Sum[MI].RefMs).c_str(),
+                mcps(Sum[MI].Cycles, Sum[MI].FastMs).c_str());
+
+  const Totals &Main = Sum[0];
+  double Overall = Main.FastMs > 0.0 ? Main.RefMs / Main.FastMs : 0.0;
   std::printf("\nOverall: %s simulated cycles, reference %s Mcyc/s, "
               "fast %s Mcyc/s, speedup %.2fx (target >= 2x)\n",
-              Table::num(TotalCycles).c_str(),
-              mcps(TotalCycles, TotalRefMs).c_str(),
-              mcps(TotalCycles, TotalFastMs).c_str(), Overall);
+              Table::num(Main.Cycles).c_str(),
+              mcps(Main.Cycles, Main.RefMs).c_str(),
+              mcps(Main.Cycles, Main.FastMs).c_str(), Overall);
 
   if (Overall < 2.0) {
     std::fprintf(stderr,

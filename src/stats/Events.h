@@ -12,10 +12,10 @@
 /// itself depends on core:: for report serialization).
 ///
 /// Zero-overhead-when-disabled contract: a Simulator with no sink
-/// attached pays exactly one pointer test per cycle; all attribution
+/// attached runs a fast-loop instantiation without any attribution
 /// bookkeeping (blocking-producer search, missed-load tracking,
-/// dispatch-block classification) is guarded behind that test, so the
-/// default configuration reproduces the seed simulator byte for byte.
+/// dispatch-block classification), and the default configuration
+/// reproduces the seed simulator byte for byte.
 ///
 /// Stall attribution: every cycle in which *no* instruction issues
 /// (INT and FP subsystems combined) is assigned exactly one

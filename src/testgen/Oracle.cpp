@@ -5,11 +5,13 @@
 #include "partition/Partitioner.h"
 #include "sir/Opcode.h"
 #include "support/FaultInject.h"
+#include "support/Hash.h"
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
 #include "timing/Simulator.h"
 #include "vm/VM.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -99,6 +101,37 @@ RunImage runFunctional(const sir::Module &M, const std::vector<int32_t> &Args,
   return Image;
 }
 
+/// The machines the timing cross-check draws from: the Table 1 pair
+/// and narrow points scaled like the explore grid's (window 4x the
+/// width, in-flight 2x the window, one load/store port per two INT
+/// units), where functional units and ports are scarce for the width.
+std::vector<timing::MachineConfig> crossCheckMachines() {
+  auto Narrow = [](const char *Name, unsigned Width, unsigned IntUnits,
+                   unsigned FpUnits) {
+    timing::MachineConfig C = timing::MachineConfig::fourWay();
+    C.Name = Name;
+    C.FetchWidth = C.DecodeWidth = C.RetireWidth = Width;
+    C.IntWindow = C.FpWindow = 4 * Width;
+    C.MaxInFlight = 8 * Width;
+    C.IntUnits = IntUnits;
+    C.FpUnits = FpUnits;
+    C.LoadStorePorts = std::max(1u, IntUnits / 2);
+    C.IntPhysRegs = C.FpPhysRegs = 32 + 4 * Width;
+    return C;
+  };
+  return {timing::MachineConfig::fourWay(), timing::MachineConfig::eightWay(),
+          Narrow("2-wide 1+1", 2, 1, 1), Narrow("4-wide 2+1", 4, 2, 1),
+          Narrow("8-wide 1+1", 8, 1, 1), Narrow("8-wide 4+2", 8, 4, 2)};
+}
+
+/// One machine of crossCheckMachines(), chosen by a hash of the module's
+/// text, so a module (and its seed) always meets the same machine and a
+/// fuzz campaign spreads over all of them.
+timing::MachineConfig drawMachine(const sir::Module &M) {
+  const std::vector<timing::MachineConfig> Ms = crossCheckMachines();
+  return Ms[support::fnv1a64(sir::toString(M)) % Ms.size()];
+}
+
 class OracleRun {
 public:
   OracleRun(const sir::Module &M, const OracleOptions &Opts)
@@ -120,6 +153,8 @@ public:
       Report.BaselineTrap = Baseline.Result.Trap.Kind;
     }
     Report.BaselineDynInstrs = Baseline.Result.Steps;
+    if (Opts.CheckTiming)
+      DrawnMachine = drawMachine(M);
     for (const VariantSpec &V : Opts.Variants)
       checkVariant(V);
     return std::move(Report);
@@ -263,12 +298,29 @@ private:
   /// The timing simulator must retire exactly the traced instructions,
   /// and its INT/FP issue split must match the partition bits. Both
   /// cycle loops run -- the fast path is differentially checked against
-  /// the reference loop on every oracle iteration.
+  /// the reference loop on every oracle iteration -- on Opts.Machine and
+  /// on the module's drawn machine.
   void crossCheckTiming(const std::string &Name, const core::PipelineRun &Run,
                         vm::Trace &&Raw) {
     const timing::PackedTrace Trace =
         timing::PackedTrace::build(std::move(Raw), Run.Alloc);
-    timing::Simulator Sim(Opts.Machine, Run.Alloc);
+    uint64_t FpSide = 0;
+    for (uint32_t Slot : Trace.OpIdx) {
+      const sir::Instruction &I = *Trace.Slots[Slot].I;
+      if (I.inFpa() || sir::isFpOpcode(I.op()))
+        ++FpSide;
+    }
+    crossCheckMachine(Name, Run, Trace, FpSide, Opts.Machine);
+    if (DrawnMachine.canonicalKey() != Opts.Machine.canonicalKey())
+      crossCheckMachine(Name, Run, Trace, FpSide, DrawnMachine);
+  }
+
+  void crossCheckMachine(const std::string &Variant,
+                         const core::PipelineRun &Run,
+                         const timing::PackedTrace &Trace, uint64_t FpSide,
+                         const timing::MachineConfig &Machine) {
+    const std::string Name = Variant + " on " + Machine.Name;
+    timing::Simulator Sim(Machine, Run.Alloc);
 
     timing::SimStats Stats, FastStats;
     try {
@@ -302,13 +354,6 @@ private:
     CheckEq("int_idle_fp_busy_cycles", Stats.IntIdleFpBusyCycles,
             FastStats.IntIdleFpBusyCycles);
 
-    uint64_t FpSide = 0;
-    for (uint32_t Slot : Trace.OpIdx) {
-      const sir::Instruction &I = *Trace.Slots[Slot].I;
-      if (I.inFpa() || sir::isFpOpcode(I.op()))
-        ++FpSide;
-    }
-
     if (Stats.Instructions != Trace.size())
       mismatch(Name, "simulator retired " + std::to_string(Stats.Instructions) +
                          " instructions, trace has " +
@@ -328,6 +373,8 @@ private:
 
   const sir::Module &M;
   const OracleOptions &Opts;
+  /// The timing cross-check's second machine (drawMachine).
+  timing::MachineConfig DrawnMachine;
   RunImage Baseline;
   OracleReport Report;
 };

@@ -7,9 +7,15 @@
 //    differential oracle for the fast path (FPINT_SIM_FAST=0, fpint-fuzz
 //    cross-check).
 //  * runFast -- the packed fast path: pre-decoded PackedOp records,
-//    one dense seq-indexed ring holding every in-flight instruction
-//    (wakeup scoreboard included), incremental window occupancy
-//    counters, and event-driven idle-cycle skipping.
+//    one dense seq-indexed ring holding every in-flight instruction,
+//    operand readiness folded in at rename with intrusive dependents
+//    lists woken at producer issue, select from per-subsystem ready
+//    lists merged by age, a store queue for the loads' older-store check, incremental
+//    window occupancy counters, and event-driven idle-cycle skipping.
+//    It is a template on telemetry; the instantiation without a sink
+//    has no attribution code, and the one with a sink names a
+//    non-issuing cycle's issue blockage by classifying only the oldest
+//    unissued entry (see the comment at that step).
 //
 // The fast path is cycle-exact with respect to the reference loop: all
 // SimStats counters and (with a sink attached) every CycleEvent are
@@ -77,19 +83,74 @@ struct RobEntry {
   uint64_t ProducerSeq[4] = {0, 0, 0, 0};
 };
 
+/// End of a dependents list.
+constexpr uint32_t NoDep = ~0u;
+
+/// No entry (sequence numbers start at 1 and stay far below this).
+constexpr uint64_t NoSeq = ~0ULL;
+
 /// One slot of the fast path's in-flight ring. A slot is (re)initialized
 /// at fetch and is live while its sequence number is in
-/// [RetireSeq, NextSeq); the DoneCycle field doubles as the wakeup
-/// scoreboard the reference loop keeps in the DoneAt map.
+/// [RetireSeq, NextSeq). Operand readiness is folded in at rename:
+/// ReadyCycle is the latest completion of the issued producers, Pending
+/// counts the producers that have not issued yet. Each unissued
+/// producer heads an intrusive list of its dependents; a node is
+/// (consumer slot << 2 | operand index), and the consumer's DepNext
+/// for that operand links to the next node.
 struct FastEntry {
   const PackedOp *Op = nullptr;
+  uint64_t Seq = 0; ///< Program order.
   uint32_t Idx = 0; ///< Dynamic-instruction index (MemAddr/Taken arrays).
   uint64_t FetchCycle = 0;
   uint64_t DoneCycle = NeverCycle;
+  uint64_t ReadyCycle = 0;
+  uint32_t Pending = 0;
+  uint32_t DepHead = NoDep;
+  uint32_t DepNext[4] = {NoDep, NoDep, NoDep, NoDep};
+  /// Telemetry-only: operand producers, to name the oldest waiting
+  /// instruction's blockage.
   uint64_t ProducerSeq[4] = {0, 0, 0, 0};
   bool Issued = false;
   bool Mispredicted = false;
-  bool MissedLoad = false; ///< Sink-only: issued load that missed.
+  bool MissedLoad = false; ///< Telemetry-only: issued load that missed.
+};
+
+/// The fast path's ready list of one subsystem: the sequence numbers of
+/// its dispatched, unissued entries whose producers have all issued,
+/// oldest first, in Seqs[0, Size). It is walked and compacted once a
+/// cycle: during a walk Seqs[0, Kept) holds the entries kept so far and
+/// Seqs[Next, Size) those not visited yet.
+struct ReadyList {
+  std::vector<uint64_t> Seqs;
+  size_t Size = 0, Next = 0, Kept = 0;
+
+  /// \p Capacity bounds the in-flight entries.
+  explicit ReadyList(size_t Capacity) : Seqs(Capacity) {}
+
+  uint64_t headOrNone() const { return Next < Size ? Seqs[Next] : NoSeq; }
+  /// Moves past the head; returns the new one.
+  uint64_t advance() {
+    ++Next;
+    return headOrNone();
+  }
+  void keep(uint64_t Seq) { Seqs[Kept++] = Seq; }
+  /// Ends the walk; entries not visited stay, after the kept ones.
+  void endWalk() {
+    while (Next < Size)
+      Seqs[Kept++] = Seqs[Next++];
+    Size = Kept;
+    Next = Kept = 0;
+  }
+  /// Appends an entry younger than every listed one.
+  void append(uint64_t Seq) { Seqs[Size++] = Seq; }
+  /// Inserts by age. Woken entries are few and mostly young, so each
+  /// moves only past the list's tail.
+  void insert(uint64_t Seq) {
+    size_t K = Size++;
+    for (; K > 0 && Seqs[K - 1] > Seq; --K)
+      Seqs[K] = Seqs[K - 1];
+    Seqs[K] = Seq;
+  }
 };
 
 bool fastPathFromEnv() {
@@ -159,7 +220,9 @@ Simulator::~Simulator() = default;
 
 SimStats Simulator::run(const PackedTrace &Trace) {
   auto T0 = std::chrono::steady_clock::now();
-  SimStats Stats = UseFast ? runFast(Trace) : runReference(Trace);
+  SimStats Stats = !UseFast ? runReference(Trace)
+                   : Sink   ? runFast<true>(Trace)
+                            : runFast<false>(Trace);
   Stats.SimWallMs = msSince(T0);
   return Stats;
 }
@@ -546,9 +609,11 @@ SimStats Simulator::runReference(const PackedTrace &PT) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fast loop (packed SoA + dense ring + cycle skipping)
+// Fast loop (packed SoA + dense ring + wakeup-driven select + cycle
+// skipping)
 //===----------------------------------------------------------------------===//
 
+template <bool Telemetry>
 SimStats Simulator::runFast(const PackedTrace &PT) {
   SimStats Stats;
   Impl &S = *State;
@@ -562,7 +627,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
   //   ROB     = [RetireSeq, DispatchSeq)   (<= MaxInFlight entries)
   //   FetchQ  = [DispatchSeq, NextSeq)     (< 3 * FetchWidth entries)
   // so a power-of-two ring larger than both regions together can never
-  // alias a live slot; slots are fully re-initialized at fetch.
+  // alias a live slot; slots are reset at fetch.
   const uint64_t MaxLive =
       static_cast<uint64_t>(Config.MaxInFlight) + 3ULL * Config.FetchWidth + 2;
   uint64_t Capacity = 1;
@@ -570,6 +635,17 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
     Capacity <<= 1;
   const uint64_t Mask = Capacity - 1;
   std::vector<FastEntry> Flight(Capacity);
+
+  // Select state. Ready[0] and Ready[1] are the INT and FP ready
+  // lists; Woken[0, NumWoken) collects the entries this cycle's issues
+  // complete, merged into them after the issue walk. StoreQ holds the
+  // in-flight stores in program order, [StoreHead, StoreTail) modulo
+  // Capacity.
+  ReadyList Ready[2] = {ReadyList(Capacity), ReadyList(Capacity)};
+  std::vector<uint64_t> Woken(Capacity);
+  size_t NumWoken = 0;
+  std::vector<uint64_t> StoreQ(Capacity);
+  uint64_t StoreHead = 0, StoreTail = 0;
 
   uint64_t RenameTable[2][regalloc::ArchLayout::FileSize] = {};
   unsigned IntWindowUsed = 0, FpWindowUsed = 0;
@@ -585,8 +661,62 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
 
   std::vector<uint64_t> IntUnitFree(Config.IntUnits, 0);
   std::vector<uint64_t> FpUnitFree(Config.FpUnits, 0);
+  uint64_t ILineStart = 0, ILineEnd = 0; // I-cache line of the latest fetch.
 
+  // Telemetry-only: what last stalled fetch, and a cursor below which
+  // every ROB entry has issued (it only moves forward).
   stats::StallReason ResumeKind = stats::StallReason::None;
+  uint64_t UnissuedSeq = 1;
+
+  // Whether a load older stores block: some older store has not issued
+  // (its address is unknown). Otherwise sets Forwarded when an older
+  // store wrote the load's word.
+  auto StoreBlocked = [&](const FastEntry &Load, bool &Forwarded) {
+    const uint64_t LoadSeq = Load.Seq;
+    const uint32_t MyWord = PT.MemAddr[Load.Idx] / 4;
+    for (uint64_t Q = StoreHead; Q != StoreTail; ++Q) {
+      const uint64_t StSeq = StoreQ[Q & Mask];
+      if (StSeq >= LoadSeq)
+        break;
+      const FastEntry &St = Flight[StSeq & Mask];
+      if (!St.Issued)
+        return true;
+      if (PT.MemAddr[St.Idx] / 4 == MyWord)
+        Forwarded = true;
+    }
+    return false;
+  };
+
+  // Telemetry-only: whether the reference scan classifies unissued
+  // entry E in a cycle where nothing issued (it skips entries of a
+  // subsystem without units, and memory operations on a machine
+  // without ports), and the reason it gives: the first unavailable
+  // producer, else a load's unknown older store address, else a busy
+  // unit (the entry passed every other check yet did not issue).
+  auto Classified = [&](const FastEntry &E) {
+    const PackedOp &Op = *E.Op;
+    return !E.Issued &&
+           !(Op.is(PackedOp::FpSubsystem) ? FpUnitFree : IntUnitFree)
+                .empty() &&
+           !((Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore)) &&
+             Config.LoadStorePorts == 0);
+  };
+  auto IssueBlockOf = [&](const FastEntry &E) {
+    const PackedOp &Op = *E.Op;
+    for (unsigned U = 0; U < Op.NumUses; ++U) {
+      const uint64_t P = E.ProducerSeq[U];
+      if (P == 0 || P < RetireSeq)
+        continue;
+      const FastEntry &Prod = Flight[P & Mask];
+      if (!Prod.Issued || Prod.DoneCycle > Cycle)
+        return Prod.MissedLoad ? stats::StallReason::DCacheMissWait
+                               : stats::StallReason::OperandWait;
+    }
+    bool Forwarded = false;
+    if (Op.is(PackedOp::IsLoad) && StoreBlocked(E, Forwarded))
+      return stats::StallReason::LoadBlockedStoreAddr;
+    return stats::StallReason::UnitBusy;
+  };
 
   const uint64_t SafetyLimit =
       static_cast<uint64_t>(End + 1000) * 400 + 100000;
@@ -604,8 +734,11 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
       if (!Head.Issued || Head.DoneCycle > Cycle)
         break;
       const PackedOp &Op = *Head.Op;
-      if (Op.is(PackedOp::IsStore))
+      if (Op.is(PackedOp::IsStore)) {
+        assert(StoreQ[StoreHead & Mask] == RetireSeq);
+        ++StoreHead;
         S.DCache->access(PT.MemAddr[Head.Idx], /*Write=*/true);
+      }
       if (Op.is(PackedOp::HasDef)) {
         if (Op.Def & PackedOp::FileBit)
           ++FpPhysFree;
@@ -618,7 +751,13 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
     }
 
     //===------------------------------------------------------------===//
-    // Issue (per subsystem, oldest first).
+    // Issue: select from the ready lists, oldest first across both. An
+    // entry whose operands are not all available has no side effect in
+    // the reference loop's scan, and neither has one whose subsystem
+    // already issued on all its units this cycle, so visiting only the
+    // ready entries of unsaturated subsystems preserves every decision
+    // and its order. Age decides across subsystems because memory
+    // operations of either side compete for the load/store ports.
     //===------------------------------------------------------------===//
     unsigned IntIssuedNow = 0, FpIssuedNow = 0, PortsUsed = 0;
     // True when a load completed its memory evaluation (store-forward
@@ -629,64 +768,40 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
     // StoreForwards / D-cache traffic. These spans are short: they
     // end at a unit-free wakeup, at most an unpipelined divide away.
     bool LoadEvalNoIssue = false;
-    const uint64_t OldestSeq =
-        RetireSeq == DispatchSeq ? NextSeq : RetireSeq;
-    for (uint64_t Sq = RetireSeq; Sq != DispatchSeq; ++Sq) {
+    // Head[s] is the next entry to visit in subsystem s, or NoSeq once
+    // its list is exhausted or its units are all taken this cycle.
+    uint64_t Head[2] = {
+        IntUnitFree.empty() ? NoSeq : Ready[0].headOrNone(),
+        FpUnitFree.empty() ? NoSeq : Ready[1].headOrNone()};
+    for (;;) {
+      const bool Fp = Head[1] < Head[0];
+      const uint64_t Sq = Head[Fp];
+      if (Sq == NoSeq)
+        break;
+      ReadyList &List = Ready[Fp];
+      Head[Fp] = List.advance();
       FastEntry &E = Flight[Sq & Mask];
-      if (E.Issued)
-        continue;
       const PackedOp &Op = *E.Op;
-      const bool Fp = Op.is(PackedOp::FpSubsystem);
       auto &Units = Fp ? FpUnitFree : IntUnitFree;
       unsigned &IssuedNow = Fp ? FpIssuedNow : IntIssuedNow;
-      if (IssuedNow >= Units.size())
-        continue;
-
-      // Blocking producer: producers older than the ROB head have
-      // committed; otherwise the producer's ring slot holds its
-      // issue/done state (the dense scoreboard).
-      uint64_t Blocking = 0;
-      for (unsigned U = 0; U < Op.NumUses; ++U) {
-        uint64_t P = E.ProducerSeq[U];
-        if (P == 0 || P < OldestSeq)
-          continue;
-        const FastEntry &Prod = Flight[P & Mask];
-        if (!Prod.Issued || Prod.DoneCycle > Cycle) {
-          Blocking = P;
-          break;
-        }
-      }
-      if (Blocking) {
-        if (Sink && IssueBlock == stats::StallReason::None)
-          IssueBlock = Flight[Blocking & Mask].MissedLoad
-                           ? stats::StallReason::DCacheMissWait
-                           : stats::StallReason::OperandWait;
+      if (E.ReadyCycle > Cycle) {
+        List.keep(Sq);
         continue;
       }
 
-      // Memory constraints (INT subsystem only).
+      // Memory constraints.
       unsigned ExtraLatency = 0;
       if (Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore)) {
-        if (PortsUsed >= Config.LoadStorePorts)
+        if (PortsUsed >= Config.LoadStorePorts) {
+          List.keep(Sq);
           continue;
+        }
         if (Op.is(PackedOp::IsLoad)) {
-          bool Blocked = false;
+          // All prior store addresses must be known (i.e., issued);
+          // forward from a matching completed-issue store if possible.
           bool Forwarded = false;
-          const uint32_t MyLine = PT.MemAddr[E.Idx] / 4;
-          for (uint64_t OSq = RetireSeq; OSq != Sq; ++OSq) {
-            const FastEntry &Older = Flight[OSq & Mask];
-            if (!Older.Op->is(PackedOp::IsStore))
-              continue;
-            if (!Older.Issued) {
-              Blocked = true;
-              break;
-            }
-            if (PT.MemAddr[Older.Idx] / 4 == MyLine)
-              Forwarded = true; // Youngest older match wins.
-          }
-          if (Blocked) {
-            if (Sink && IssueBlock == stats::StallReason::None)
-              IssueBlock = stats::StallReason::LoadBlockedStoreAddr;
+          if (StoreBlocked(E, Forwarded)) {
+            List.keep(Sq);
             continue;
           }
           if (Forwarded) {
@@ -710,35 +825,71 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
       if (Unit == ~0u) {
         if (Op.is(PackedOp::IsLoad))
           LoadEvalNoIssue = true;
-        if (Sink && IssueBlock == stats::StallReason::None)
-          IssueBlock = stats::StallReason::UnitBusy;
+        List.keep(Sq);
         continue;
       }
 
-      // Issue.
+      // Issue, and wake the dependents. Every latency is at least one
+      // cycle, so none of them can issue before the next cycle.
+      assert(Op.Latency >= 1 && "zero-latency producer");
       E.Issued = true;
       E.DoneCycle = Cycle + Op.Latency + ExtraLatency;
       Units[Unit] = Op.is(PackedOp::Unpipelined) ? E.DoneCycle : Cycle + 1;
-      ++IssuedNow;
-      if (Sink && Op.is(PackedOp::IsLoad) && ExtraLatency)
-        E.MissedLoad = true;
+      if (++IssuedNow == Units.size())
+        Head[Fp] = NoSeq;
+      if constexpr (Telemetry)
+        if (Op.is(PackedOp::IsLoad) && ExtraLatency)
+          E.MissedLoad = true;
       if (Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore))
         ++PortsUsed;
       if (E.Mispredicted) {
         FetchResumeCycle =
             std::max(FetchResumeCycle, E.DoneCycle + Config.MispredictRedirect);
-        if (Sink)
+        if constexpr (Telemetry)
           ResumeKind = stats::StallReason::FetchMispredict;
         if (PendingBranchSeq == Sq)
           PendingBranchSeq = 0;
       }
+      for (uint32_t N = E.DepHead; N != NoDep;) {
+        FastEntry &C = Flight[N >> 2];
+        C.ReadyCycle = std::max(C.ReadyCycle, E.DoneCycle);
+        if (--C.Pending == 0)
+          Woken[NumWoken++] = C.Seq;
+        N = C.DepNext[N & 3];
+      }
+      E.DepHead = NoDep;
     }
+    Ready[0].endWalk();
+    Ready[1].endWalk();
+    for (size_t I = 0; I < NumWoken; ++I) {
+      const uint64_t W = Woken[I];
+      Ready[Flight[W & Mask].Op->is(PackedOp::FpSubsystem)].insert(W);
+    }
+    NumWoken = 0;
     Stats.IntIssued += IntIssuedNow;
     Stats.FpIssued += FpIssuedNow;
     if (FpIssuedNow > 0) {
       ++Stats.FpBusyCycles;
       if (IntIssuedNow == 0)
         ++Stats.IntIdleFpBusyCycles;
+    }
+
+    // Stall attribution reads IssueBlock only when nothing issued. The
+    // reference scan then classifies every unissued entry its
+    // subsystem and port checks let through, and keeps the oldest one's
+    // reason, so classifying that one entry is enough.
+    if constexpr (Telemetry) {
+      if (IntIssuedNow + FpIssuedNow == 0) {
+        UnissuedSeq = std::max(UnissuedSeq, RetireSeq);
+        while (UnissuedSeq != DispatchSeq &&
+               Flight[UnissuedSeq & Mask].Issued)
+          ++UnissuedSeq;
+        for (uint64_t Sq = UnissuedSeq; Sq != DispatchSeq; ++Sq)
+          if (Classified(Flight[Sq & Mask])) {
+            IssueBlock = IssueBlockOf(Flight[Sq & Mask]);
+            break;
+          }
+      }
     }
 
     //===------------------------------------------------------------===//
@@ -751,7 +902,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
         break; // Fetched this cycle; decodes next.
       const PackedOp &Op = *E.Op;
       if (DispatchSeq - RetireSeq >= Config.MaxInFlight) {
-        if (Sink)
+        if constexpr (Telemetry)
           DispatchBlock = stats::StallReason::RobFull;
         break;
       }
@@ -759,7 +910,7 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
       unsigned &Window = Fp ? FpWindowUsed : IntWindowUsed;
       unsigned Capacity = Fp ? Config.FpWindow : Config.IntWindow;
       if (Window >= Capacity) {
-        if (Sink)
+        if constexpr (Telemetry)
           DispatchBlock = Fp ? stats::StallReason::WindowFullFpa
                              : stats::StallReason::WindowFullInt;
         break;
@@ -768,21 +919,41 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
         unsigned &Free =
             (Op.Def & PackedOp::FileBit) ? FpPhysFree : IntPhysFree;
         if (Free == 0) {
-          if (Sink)
+          if constexpr (Telemetry)
             DispatchBlock = stats::StallReason::PhysRegsFull;
           break;
         }
         --Free;
       }
 
-      // Rename: record operand producers, claim the destination.
-      for (unsigned U = 0; U < Op.NumUses; ++U)
-        E.ProducerSeq[U] =
+      // Rename, folding each producer into this entry: a committed one
+      // (older than the ROB head; its slot may be reused) is ready, an
+      // issued one bounds ReadyCycle, an unissued one links this entry
+      // onto its dependents list.
+      for (unsigned U = 0; U < Op.NumUses; ++U) {
+        const uint64_t P =
             RenameTable[(Op.Uses[U] & PackedOp::FileBit) ? 1 : 0]
                        [Op.Uses[U] & PackedOp::ArchMask];
+        if constexpr (Telemetry)
+          E.ProducerSeq[U] = P;
+        if (P == 0 || P < RetireSeq)
+          continue;
+        FastEntry &Prod = Flight[P & Mask];
+        if (Prod.Issued) {
+          E.ReadyCycle = std::max(E.ReadyCycle, Prod.DoneCycle);
+          continue;
+        }
+        ++E.Pending;
+        E.DepNext[U] = Prod.DepHead;
+        Prod.DepHead = static_cast<uint32_t>((DispatchSeq & Mask) << 2 | U);
+      }
       if (Op.is(PackedOp::HasDef))
         RenameTable[(Op.Def & PackedOp::FileBit) ? 1 : 0]
                    [Op.Def & PackedOp::ArchMask] = DispatchSeq;
+      if (E.Pending == 0)
+        Ready[Fp].append(DispatchSeq);
+      if (Op.is(PackedOp::IsStore))
+        StoreQ[StoreTail++ & Mask] = DispatchSeq;
 
       ++Window;
       ++DispatchSeq;
@@ -805,19 +976,31 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
       for (unsigned N = 0; N < Config.FetchWidth && FetchIdx < End; ++N) {
         const PackedOp &Op = PT.op(FetchIdx);
 
-        unsigned ILat = S.ICache->access(Op.Pc, false);
-        if (ILat > Config.ICache.HitLatency) {
-          ++Stats.ICacheMisses;
-          FetchResumeCycle = Cycle + (ILat - Config.ICache.HitLatency);
-          if (Sink)
-            ResumeKind = stats::StallReason::FetchICacheMiss;
+        // A fetch from the line the previous fetch touched hits, and
+        // its LRU stamp is already the newest, so the probe is elided.
+        if (Op.Pc < ILineStart || Op.Pc >= ILineEnd) {
+          ILineStart = Op.Pc - Op.Pc % Config.ICache.LineBytes;
+          ILineEnd = ILineStart + Config.ICache.LineBytes;
+          unsigned ILat = S.ICache->access(Op.Pc, false);
+          if (ILat > Config.ICache.HitLatency) {
+            ++Stats.ICacheMisses;
+            FetchResumeCycle = Cycle + (ILat - Config.ICache.HitLatency);
+            if constexpr (Telemetry)
+              ResumeKind = stats::StallReason::FetchICacheMiss;
+          }
         }
 
+        // Reset field by field: dependents links and producers are
+        // written before they are read.
         FastEntry &E = Flight[NextSeq & Mask];
         E.Op = &Op;
+        E.Seq = NextSeq;
         E.Idx = static_cast<uint32_t>(FetchIdx);
         E.FetchCycle = Cycle;
         E.DoneCycle = NeverCycle;
+        E.ReadyCycle = 0;
+        E.Pending = 0;
+        E.DepHead = NoDep;
         E.Issued = false;
         E.Mispredicted = false;
         E.MissedLoad = false;
@@ -880,9 +1063,9 @@ SimStats Simulator::runFast(const PackedTrace &PT) {
     }
 
     //===------------------------------------------------------------===//
-    // Telemetry: classify the cycle and emit the event (sink-only).
+    // Telemetry: classify the cycle and emit the event.
     //===------------------------------------------------------------===//
-    if (Sink) {
+    if constexpr (Telemetry) {
       using stats::StallReason;
       stats::CycleEvent Ev;
       Ev.IntIssued = IntIssuedNow;

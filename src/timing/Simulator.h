@@ -37,11 +37,14 @@
 ///    fpint-fuzz iteration races the two);
 ///  * the *fast loop* (default) -- runs over the pre-decoded
 ///    timing::PackedTrace directly, keeps all in-flight state in one dense
-///    seq-indexed ring (the wakeup scoreboard included), and jumps the
-///    cycle counter over provably idle spans instead of ticking through
-///    them. It is cycle-exact: SimStats and, with a sink attached, the
-///    full stall-attribution telemetry are bit-identical to the
-///    reference loop.
+///    seq-indexed ring, resolves operand readiness at rename (dependents
+///    lists woken when a producer issues) so select visits only the
+///    ready entries, oldest first, checks loads against a store queue,
+///    and jumps the cycle counter over provably idle spans instead of
+///    ticking through them. It is a template on telemetry: without a
+///    sink the loop carries no attribution code. It is cycle-exact:
+///    SimStats and, with a sink attached, the full stall-attribution
+///    telemetry are bit-identical to the reference loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,14 +157,15 @@ public:
 
   /// Attaches \p S to receive one CycleEvent per simulated cycle
   /// (stall attribution + issue occupancy). Null detaches. With no
-  /// sink attached the main loop pays a single pointer test per cycle
-  /// and produces bit-identical SimStats to the uninstrumented
-  /// simulator. The sink must outlive run().
+  /// sink attached the fast loop runs an instantiation without any
+  /// telemetry code; SimStats are bit-identical either way. The sink
+  /// must outlive run().
   void setEventSink(stats::EventSink *S) { Sink = S; }
 
-  /// Selects the fast (packed SoA + cycle-skipping) or reference cycle
-  /// loop. Defaults to the FPINT_SIM_FAST environment switch (unset or
-  /// nonzero = fast; "0" = reference).
+  /// Selects the fast (packed SoA + wakeup-driven select +
+  /// cycle-skipping) or reference cycle loop. Defaults to the
+  /// FPINT_SIM_FAST environment switch (unset or nonzero = fast;
+  /// "0" = reference).
   void setFastPath(bool On) { UseFast = On; }
   bool fastPath() const { return UseFast; }
 
@@ -176,7 +180,9 @@ private:
   bool UseFast = true;
 
   SimStats runReference(const PackedTrace &Trace);
-  SimStats runFast(const PackedTrace &Trace);
+  /// The fast loop; the Telemetry instantiation feeds Sink, the other
+  /// carries no sink code at all.
+  template <bool Telemetry> SimStats runFast(const PackedTrace &Trace);
 };
 
 /// Convenience: VM-trace + simulate in one call. The module must be

@@ -1,15 +1,20 @@
 //===- tests/SimulatorTest.cpp - Fast-path simulator equivalence ----------===//
 //
 // The fast cycle loop (packed SoA trace, dense in-flight ring,
-// event-driven cycle skipping) must be bit-identical to the reference
-// loop: same SimStats, same telemetry breakdown, on every fixture and
-// machine. These tests pin that contract, the packed trace the VM
-// records (checked against facts computed without it), its single
-// capture per compiled module, the prefix trace of a trapping run, and
-// the typed SimulationOverrun condition.
+// wakeup-driven select, event-driven cycle skipping) must be
+// bit-identical to the reference loop: same SimStats, same telemetry
+// breakdown, on every fixture and machine -- the Table 1 pair, the
+// narrow-to-wide FU mixes of the explore grid, and fixtures that keep
+// the unpipelined dividers busy, forward stores to loads, and make INT
+// and FP memory operations race for the load/store ports. These tests
+// pin that contract, the packed trace the VM records (checked against
+// facts computed without it), its single capture per compiled module,
+// the prefix trace of a trapping run, and the typed SimulationOverrun
+// condition.
 //
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Explore.h"
 #include "core/Pipeline.h"
 #include "sir/Parser.h"
 #include "timing/MachineConfig.h"
@@ -40,6 +45,101 @@ PipelineRun compileSrc(const char *Src, partition::Scheme S) {
   Cfg.RunOptimizations = false;
   PipelineRun Run = compileAndMeasure(*PR.M, Cfg);
   EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
+  return Run;
+}
+
+/// Dependent and independent INT and FP divides: the unpipelined
+/// units stay busy, so selection keeps finding no free unit.
+const char *DivChain = R"(
+global res 1
+func main() {
+entry:
+  li %a, 1000000
+  li %b, 3
+  li %i, 1
+  fli %x, 1000.0
+  fli %y, 1.5
+loop:
+  div %a, %a, %b
+  div %c, %i, %b
+  rem %d, %a, %i
+  add %a, %a, %c
+  add %a, %a, %d
+  fdiv %x, %x, %y
+  fdiv %z, %x, %y
+  fadd %x, %x, %z
+  addi %i, %i, 1
+  slti %t, %i, 40
+  bne %t, %zero, loop
+  out %a
+  la %p, res
+  s.s %x, 0(%p)
+  ret
+}
+)";
+
+/// Loads that read words stored just before them, in the same and in
+/// earlier iterations: store-to-load forwarding through the store
+/// queue.
+const char *StoreForward = R"(
+global arr 8
+func main() {
+entry:
+  la %p, arr
+  li %i, 0
+  li %s, 0
+loop:
+  andi %k, %i, 7
+  sll %off, %k, 2
+  add %e, %p, %off
+  sw %i, 0(%e)
+  lw %v, 0(%e)
+  lw %w, 4(%p)
+  add %s, %s, %v
+  add %s, %s, %w
+  sw %s, 0(%p)
+  lw %u, 0(%p)
+  add %s, %s, %u
+  addi %i, %i, 1
+  slti %t, %i, 60
+  bne %t, %zero, loop
+  out %s
+  ret
+}
+)";
+
+/// The machines the two loops are raced on: the Table 1 pair, every
+/// gshare point of the explore grid's "small" sweep (2/4/8-wide with
+/// 1+1, 2+1, 2+2, 4+2 and 4+4 FU mixes), and the 8-way machine cut to
+/// one unit per subsystem (two ports for one INT unit).
+std::vector<campaign::MachinePoint> equivalenceMachines() {
+  std::vector<campaign::MachinePoint> Ms = {
+      {"4-way", MachineConfig::fourWay()}, {"8-way", MachineConfig::eightWay()}};
+  for (campaign::MachinePoint &P : campaign::exploreGrid("small"))
+    if (P.M.Predictor == PredictorKind::Gshare)
+      Ms.push_back(std::move(P));
+  MachineConfig Narrow = MachineConfig::eightWay();
+  Narrow.IntUnits = Narrow.FpUnits = 1;
+  Ms.push_back({"8-way_fu1+1", Narrow});
+  return Ms;
+}
+
+/// A compiled fixture whose trace marks every other load and store as
+/// FPa. No instruction of the ISA is an FP-subsystem memory operation
+/// (l.s/s.s move FP data but issue from the INT window), yet the
+/// simulator models them, sharing the load/store ports with the INT
+/// side; marking them before the trace is captured makes the two
+/// subsystems race for the ports. The VM ignores the bit.
+PipelineRun compileWithFpMemory(const char *Src) {
+  PipelineRun Run = compileSrc(Src, partition::Scheme::Advanced);
+  bool Mark = false;
+  for (auto &F : Run.Compiled->functions())
+    for (auto &BB : F->blocks())
+      for (auto &I : BB->instructions())
+        if (I->isLoad() || I->isStore()) {
+          I->setInFpa(Mark);
+          Mark = !Mark;
+        }
   return Run;
 }
 
@@ -100,25 +200,31 @@ TEST(FastPath, MatchesReferenceAcrossFixturesAndMachines) {
       {"IntVectorSum", fixtures::IntVectorSum},
       {"InvalidateForCall", fixtures::InvalidateForCall},
       {"MemoryFreeRand", fixtures::MemoryFreeRand},
+      {"DivChain", DivChain},
+      {"StoreForward", StoreForward},
   };
   const partition::Scheme Schemes[] = {partition::Scheme::None,
                                        partition::Scheme::Advanced};
-  const MachineConfig Machines[] = {MachineConfig::fourWay(),
-                                    MachineConfig::eightWay()};
+  const std::vector<campaign::MachinePoint> Machines = equivalenceMachines();
+  std::vector<std::pair<std::string, PipelineRun>> Runs;
   for (const auto &Fx : Fixtures)
-    for (partition::Scheme S : Schemes) {
-      PipelineRun Run = compileSrc(Fx.Src, S);
-      for (const MachineConfig &M : Machines) {
-        std::string Label = std::string(Fx.Name) + "/" +
-                            partition::schemeName(S) + "/" + M.Name;
-        SimStats Ref = runPath(Run, M, /*Fast=*/false);
-        SimStats Fast = runPath(Run, M, /*Fast=*/true);
-        expectStatsEqual(Ref, Fast, Label);
-        // refTrace() and packedTrace() are one object; both names agree.
-        Simulator Sim(M, Run.Alloc);
-        Sim.setFastPath(true);
-        expectStatsEqual(Ref, Sim.run(Run.packedTrace()), Label + "/packed");
-      }
+    for (partition::Scheme S : Schemes)
+      Runs.emplace_back(std::string(Fx.Name) + "/" + partition::schemeName(S),
+                        compileSrc(Fx.Src, S));
+  Runs.emplace_back("IntVectorSum/fp-memory",
+                    compileWithFpMemory(fixtures::IntVectorSum));
+  Runs.emplace_back("StoreForward/fp-memory",
+                    compileWithFpMemory(StoreForward));
+  for (const auto &[RunName, Run] : Runs)
+    for (const campaign::MachinePoint &P : Machines) {
+      std::string Label = RunName + "/" + P.Label;
+      SimStats Ref = runPath(Run, P.M, /*Fast=*/false);
+      SimStats Fast = runPath(Run, P.M, /*Fast=*/true);
+      expectStatsEqual(Ref, Fast, Label);
+      // refTrace() and packedTrace() are one object; both names agree.
+      Simulator Sim(P.M, Run.Alloc);
+      Sim.setFastPath(true);
+      expectStatsEqual(Ref, Sim.run(Run.packedTrace()), Label + "/packed");
     }
 }
 
@@ -143,20 +249,79 @@ TEST(FastPath, TelemetryIdenticalWithCycleSkipping) {
       {"mulchain", Mul, partition::Scheme::None},
       {"invalidate", fixtures::InvalidateForCall, partition::Scheme::Advanced},
       {"rand", fixtures::MemoryFreeRand, partition::Scheme::Advanced},
+      {"divchain", DivChain, partition::Scheme::Advanced},
+      {"storeforward", StoreForward, partition::Scheme::None},
+      {"vectorsum", fixtures::IntVectorSum, partition::Scheme::Advanced},
   };
-  for (const auto &C : Cases) {
-    PipelineRun Run = compileSrc(C.Src.c_str(), C.Scheme);
-    for (const MachineConfig &M :
-         {MachineConfig::fourWay(), MachineConfig::eightWay()}) {
+  std::vector<std::pair<std::string, PipelineRun>> Runs;
+  for (const auto &C : Cases)
+    Runs.emplace_back(C.Name, compileSrc(C.Src.c_str(), C.Scheme));
+  Runs.emplace_back("fp-memory", compileWithFpMemory(StoreForward));
+  const std::vector<campaign::MachinePoint> Machines = equivalenceMachines();
+  for (const auto &[RunName, Run] : Runs)
+    for (const campaign::MachinePoint &P : Machines) {
       stats::StallBreakdown Ref, Fast;
-      SimStats RS = runPath(Run, M, /*Fast=*/false, &Ref);
-      SimStats FS = runPath(Run, M, /*Fast=*/true, &Fast);
-      std::string Label = std::string(C.Name) + "/" + M.Name;
+      SimStats RS = runPath(Run, P.M, /*Fast=*/false, &Ref);
+      SimStats FS = runPath(Run, P.M, /*Fast=*/true, &Fast);
+      std::string Label = RunName + "/" + P.Label;
       expectStatsEqual(RS, FS, Label);
       EXPECT_TRUE(Fast.partitionHolds()) << Label;
       EXPECT_EQ(Fast.Cycles, FS.Cycles) << Label;
       expectBreakdownsEqual(Ref, Fast, Label);
     }
+}
+
+/// The fixtures above reach the structures they are meant to stress;
+/// otherwise their equality proves nothing about those structures.
+TEST(FastPath, FixturesReachTheirTargetStructures) {
+  using stats::StallReason;
+  auto Stalls = [](const stats::StallBreakdown &B, StallReason R) {
+    return B.StallCycles[static_cast<unsigned>(R)];
+  };
+  const MachineConfig M = MachineConfig::fourWay();
+
+  stats::StallBreakdown Div;
+  runPath(compileSrc(DivChain, partition::Scheme::Advanced), M,
+          /*Fast=*/true, &Div);
+  EXPECT_GT(Stalls(Div, StallReason::UnitBusy), 0u);
+
+  SimStats FwdStats = runPath(
+      compileSrc(StoreForward, partition::Scheme::None), M, /*Fast=*/true);
+  EXPECT_GT(FwdStats.StoreForwards, 0u);
+
+  // Memory operations issue from both windows.
+  PipelineRun FpMem = compileWithFpMemory(StoreForward);
+  SimStats FpStats = runPath(FpMem, M, /*Fast=*/true);
+  uint64_t FpMemOps = 0;
+  for (size_t I = 0; I < FpMem.refTrace().size(); ++I) {
+    const PackedOp &Op = FpMem.refTrace().op(I);
+    if (Op.is(PackedOp::FpSubsystem) &&
+        (Op.is(PackedOp::IsLoad) || Op.is(PackedOp::IsStore)))
+      ++FpMemOps;
+  }
+  EXPECT_GT(FpMemOps, 0u);
+  EXPECT_LT(FpMemOps, FpStats.Loads + FpStats.Stores);
+}
+
+/// On machines that wedge -- no INT units, or no load/store ports --
+/// the issue scan skips whole classes of entries without classifying
+/// them, so stall attribution must pass them over too. Both loops feed
+/// the sink until the overrun, and the breakdowns must agree.
+TEST(FastPath, TelemetryIdenticalUpToOverrun) {
+  PipelineRun Run =
+      compileSrc(fixtures::IntVectorSum, partition::Scheme::Advanced);
+  MachineConfig NoInt = MachineConfig::fourWay();
+  NoInt.IntUnits = 0;
+  MachineConfig NoPorts = MachineConfig::fourWay();
+  NoPorts.LoadStorePorts = 0;
+  for (const auto &[Label, M] :
+       {std::pair{"no-int-units", NoInt}, std::pair{"no-ports", NoPorts}}) {
+    stats::StallBreakdown Ref, Fast;
+    EXPECT_THROW(runPath(Run, M, /*Fast=*/false, &Ref), SimulationOverrun)
+        << Label;
+    EXPECT_THROW(runPath(Run, M, /*Fast=*/true, &Fast), SimulationOverrun)
+        << Label;
+    expectBreakdownsEqual(Ref, Fast, Label);
   }
 }
 

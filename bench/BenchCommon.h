@@ -29,8 +29,8 @@
 ///
 /// Containment contract (degrade-don't-die): with FPINT_SANDBOX=1 --
 /// or automatically whenever FPINT_FAULT is armed -- every matrix cell
-/// runs through support::Supervised in its own forked child (limits,
-/// retries and backoff: docs/ROBUSTNESS.md, "Supervised execution")
+/// runs through support::Supervised in its own forked child (policy:
+/// detail::CellPolicy; docs/ROBUSTNESS.md, "Supervised execution")
 /// and a cell that still fails degrades to a row of ERR cells; the
 /// table still renders, the per-binary footer lists every degraded
 /// cell, and the binary exits nonzero only under --strict /
@@ -91,25 +91,6 @@ struct HarnessState {
     return S;
   }
 };
-
-/// Integer environment knob with a default.
-inline int envInt(const char *Name, int Def) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Def;
-  return std::atoi(E);
-}
-
-/// Whether matrix cells run fork-isolated. FPINT_SANDBOX=1 forces on,
-/// FPINT_SANDBOX=0 forces off; otherwise the sandbox arms itself
-/// whenever fault injection is armed, so an injected crash can never
-/// take the harness down.
-inline bool sandboxEnabled() {
-  const char *E = std::getenv("FPINT_SANDBOX");
-  if (E && *E)
-    return E[0] != '0';
-  return support::fault::enabled();
-}
 
 /// The exit code a bench main() should return: 0 normally (even with
 /// degraded cells -- the table rendered), 1 when cells degraded and
@@ -188,20 +169,31 @@ std::string itemLabel(const Item &I, const char *What, size_t Index) {
     return std::string(What) + " #" + std::to_string(Index);
 }
 
-/// How one matrix cell runs: in a sandbox child under the
-/// FPINT_CELL_* limits with retries, or in-process on a pool worker.
+/// How a sandboxed matrix cell runs by default: two retries 50 ms then
+/// 100 ms apart.
+inline constexpr support::Supervised::Policy CellPolicy = {
+    .Limits = {.WallMs = 120000, .KillGraceMs = 500, .AddressSpaceMb = 4096},
+    .Retries = 2, .BackoffMs = 50, .FaultSite = "cell"};
+
+/// How one matrix cell runs: in a sandbox child under CellPolicy plus
+/// the FPINT_SANDBOX_* overrides, or once, in-process on a pool worker.
 inline support::Supervised::Policy cellPolicy(bool Sandbox) {
+  if (Sandbox)
+    return CellPolicy.withEnv();
   support::Supervised::Policy P;
-  P.InProcess = !Sandbox;
-  if (Sandbox) {
-    P.Limits.WallMs = envInt("FPINT_CELL_TIMEOUT_MS", 120000);
-    P.Limits.KillGraceMs = envInt("FPINT_CELL_KILL_GRACE_MS", 500);
-    P.Limits.AddressSpaceMb =
-        static_cast<uint64_t>(envInt("FPINT_CELL_AS_MB", 4096));
-    P.Retries = std::max(0, envInt("FPINT_CELL_RETRIES", 2));
-    P.BackoffMs = 50;
-    P.FaultSite = "cell";
-  }
+  P.InProcess = true;
+  return P;
+}
+
+/// The cell policy of this binary, built once. FPINT_SANDBOX=1 forces
+/// the sandbox on, FPINT_SANDBOX=0 off; otherwise it arms itself
+/// whenever fault injection is armed, so an injected crash can never
+/// take the harness down.
+inline const support::Supervised::Policy &binaryCellPolicy() {
+  static const support::Supervised::Policy P = [] {
+    const char *E = std::getenv("FPINT_SANDBOX");
+    return cellPolicy(E && *E ? E[0] != '0' : support::fault::enabled());
+  }();
   return P;
 }
 
@@ -264,15 +256,15 @@ CellResult runCell(const Item &I, RowFn &Row,
 ///
 /// Default mode fans the items out on the shared thread pool; a row
 /// function that throws fails only its own cell (reported on stderr,
-/// rows absent). Sandbox mode (see sandboxEnabled()) instead runs one
+/// rows absent). Sandbox mode (see binaryCellPolicy()) instead runs one
 /// supervised child per cell, serially: a cell that still fails after
 /// its retries degrades to a single row of "ERR" cells padded to the
 /// header width, registered in HarnessState for the exit summary.
 template <typename Item, typename RowFn>
 void runMatrix(const std::vector<Item> &Items, Table &T, RowFn Row,
                const char *What = "matrix cell") {
-  const bool Sandbox = sandboxEnabled();
-  const support::Supervised::Policy P = detail::cellPolicy(Sandbox);
+  const support::Supervised::Policy &P = detail::binaryCellPolicy();
+  const bool Sandbox = !P.InProcess;
   std::vector<detail::CellResult> Cells;
   Cells.reserve(Items.size());
   if (Sandbox) {
@@ -346,7 +338,8 @@ public:
   explicit ScopedBenchReport(const char *Name, int Argc = 0,
                              char **Argv = nullptr)
       : Name(Name), Start(std::chrono::steady_clock::now()) {
-    bool Strict = envInt("FPINT_STRICT", 0) != 0;
+    const char *Env = std::getenv("FPINT_STRICT");
+    bool Strict = Env && std::atoi(Env) != 0;
     for (int A = 1; A < Argc; ++A)
       if (std::strcmp(Argv[A], "--strict") == 0)
         Strict = true;

@@ -73,7 +73,7 @@ int main(int argc, char **argv) {
       timing::MachineConfig::eightWay(), timing::MachineConfig::fourWay(),
       Narrow};
   constexpr size_t NumMachines = std::size(Machines);
-  const int Reps = bench::envInt("FPINT_SIM_REPS", 5);
+  constexpr int Reps = 5;
 
   std::vector<workloads::Workload> Ws = workloads::intWorkloads();
   Table T({"benchmark", "machine", "dyn instrs", "cycles", "ref Mcyc/s",

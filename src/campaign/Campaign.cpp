@@ -3,11 +3,9 @@
 #include "campaign/Campaign.h"
 
 #include "support/Hash.h"
-#include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -22,18 +20,6 @@ using namespace fpint::campaign;
 namespace fs = std::filesystem;
 
 namespace {
-
-int envInt(const char *Name, int Def) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Def;
-  return std::atoi(E);
-}
-
-std::string envStr(const char *Name, const char *Def) {
-  const char *E = std::getenv(Name);
-  return E && *E ? E : Def;
-}
 
 /// Journal record for one completed cell. The result document is
 /// embedded verbatim; its canonical dump is what makes replay
@@ -137,32 +123,11 @@ bool campaign::publishReport(const std::string &Path, const json::Value &Doc,
   return true;
 }
 
-Runner::Runner(Options O) : Opts(std::move(O)) {
-  if (Opts.Dir.empty())
-    Opts.Dir = envStr("FPINT_CAMPAIGN_DIR", "campaign_state");
-  if (Opts.Retries < 0)
-    Opts.Retries = std::max(0, envInt("FPINT_CAMPAIGN_RETRIES", 2));
-  if (Opts.BackoffMs < 0)
-    Opts.BackoffMs = std::max(0, envInt("FPINT_CAMPAIGN_BACKOFF_MS", 50));
-  if (Opts.DeadlineMs < 0)
-    Opts.DeadlineMs = std::max(1, envInt("FPINT_CAMPAIGN_DEADLINE_MS", 120000));
-  if (Opts.CellAsMb < 0)
-    Opts.CellAsMb = std::max(0, envInt("FPINT_CAMPAIGN_AS_MB", 4096));
-}
-
 CellOutcome Runner::executeCell(const Cell &C, const CellFn &Fn) {
-  support::Supervised::Policy P;
-  P.Limits.WallMs = Opts.DeadlineMs;
-  P.Limits.KillGraceMs = 500;
-  P.Limits.AddressSpaceMb = static_cast<uint64_t>(Opts.CellAsMb);
-  P.Retries = Opts.Retries;
-  P.BackoffMs = Opts.BackoffMs;
-  P.FaultSite = "campaign:cell";
-  P.InProcess = !Opts.Sandbox;
-
   CellOutcome Out;
   support::Supervised::Result R = support::Supervised::run(
-      [&](support::Supervised::Sink &S) { S.write(Fn(C).dump()); }, P,
+      [&](support::Supervised::Sink &S) { S.write(Fn(C).dump()); },
+      Opts.Policy,
       [&](const std::string &Payload, std::string &Why) {
         std::string ParseErr;
         if (json::Value::parse(Payload, Out.Result, &ParseErr) &&
@@ -188,46 +153,23 @@ std::vector<CellOutcome> Runner::run(const std::vector<Cell> &Cells,
   Sum = Summary();
   Sum.Cells = Cells.size();
 
+  if (Opts.Dir.empty())
+    throw std::runtime_error("campaign journal: no state directory");
   Journal J;
-  Journal::RecoveryInfo Info;
+  Journal::CampaignLog Log;
   std::string Err;
-  std::vector<json::Value> Records;
-  if (!J.open(Opts.Dir + "/journal.wal",
-              [&](const json::Value &R) { Records.push_back(R); }, Info,
-              &Err))
+  if (!J.openCampaign(Opts.Dir + "/journal.wal", Opts.CampaignKey, {}, Log,
+                      &Err))
     throw std::runtime_error("campaign journal: " + Err);
-  Sum.JournalTruncatedBytes = Info.TruncatedBytes;
-
-  // The first record must be this campaign's header; anything else is
-  // a different campaign (or an older schema) and is discarded.
-  bool HaveHeader = false;
-  if (!Records.empty()) {
-    const json::Value &H = Records.front();
-    HaveHeader = H.strOr("type", "") == "campaign" &&
-                 H.strOr("schema", "") == JournalSchema &&
-                 H.strOr("key", "") == Opts.CampaignKey;
-    if (!HaveHeader) {
-      Sum.JournalDiscarded = true;
-      Records.clear();
-      if (!J.reset(&Err))
-        throw std::runtime_error("campaign journal: " + Err);
-    }
-  }
-  if (!HaveHeader) {
-    json::Value H = json::Value::object();
-    H.set("type", "campaign");
-    H.set("schema", JournalSchema);
-    H.set("key", Opts.CampaignKey);
-    if (!J.append(H, &Err))
-      throw std::runtime_error("campaign journal: " + Err);
-  }
+  Sum.JournalTruncatedBytes = Log.TruncatedBytes;
+  Sum.JournalDiscarded = Log.Discarded;
 
   // Replay completed cells (last record wins on duplicates).
   std::map<std::string, CellOutcome> Done;
-  for (size_t I = HaveHeader ? 1 : 0; I < Records.size(); ++I) {
+  for (const json::Value &Record : Log.Records) {
     std::string Key;
     CellOutcome Out;
-    if (parseCellRecord(Records[I], Key, Out))
+    if (parseCellRecord(Record, Key, Out))
       Done[Key] = std::move(Out);
   }
 

@@ -18,12 +18,12 @@
 ///    on. On restart, journaled cells replay byte-identically and only
 ///    unfinished cells execute. A torn journal tail costs at most the
 ///    one record being appended at death; that cell re-executes.
-///  * Containment: cells execute through support::Supervised (limits,
-///    retries, failure kinds: docs/ROBUSTNESS.md, "Supervised
-///    execution"). A cell that exhausts its attempts degrades to a
-///    typed ERR record; the campaign never aborts. (Options.Sandbox=
-///    false runs cells in-process -- for tests and trusted cell
-///    functions only; a crash then kills the runner, though the
+///  * Containment: cells execute through support::Supervised under
+///    Options.Policy (limits, retries, failure kinds: docs/ROBUSTNESS.md,
+///    "Supervised execution"). A cell that exhausts its attempts
+///    degrades to a typed ERR record; the campaign never aborts.
+///    (Policy.InProcess runs cells in-process -- for tests and trusted
+///    cell functions only; a crash then kills the runner, though the
 ///    journal still bounds the loss.)
 ///  * Publication: consumers build their final report from the
 ///    returned outcomes and publish it with publishReport() --
@@ -39,12 +39,9 @@
 /// the calling thread -- required when the runner itself executes in a
 /// forked child (pool threads do not survive a fork).
 ///
-/// Environment knobs (defaults in parentheses; see docs/CAMPAIGNS.md):
-///   FPINT_CAMPAIGN_DIR         state directory ("campaign_state")
-///   FPINT_CAMPAIGN_RETRIES     retries per cell after the first try (2)
-///   FPINT_CAMPAIGN_BACKOFF_MS  base retry backoff, doubled per retry (50)
-///   FPINT_CAMPAIGN_DEADLINE_MS per-attempt wall deadline (120000)
-///   FPINT_CAMPAIGN_AS_MB       per-cell address-space cap (4096)
+/// The runner reads no environment: a binary applies the
+/// FPINT_SANDBOX_* overrides to CellPolicy once
+/// (Supervised::Policy::withEnv) and passes the result in.
 ///
 /// Fault sites: "campaign:cell" fires inside the sandbox child,
 /// "campaign:journal" fires in the runner after each record is durable
@@ -57,6 +54,7 @@
 
 #include "campaign/Journal.h"
 #include "support/Json.h"
+#include "support/Subprocess.h"
 
 #include <cstdint>
 #include <functional>
@@ -74,7 +72,7 @@ struct Cell {
 };
 
 /// Computes one cell's result document. Runs in the sandbox child (or
-/// inline with Options.Sandbox=false); must be self-contained -- no
+/// inline with Policy.InProcess); must be self-contained -- no
 /// parent locks, caches, or registries -- and deterministic: the same
 /// cell must always produce the same canonical JSON, because a resumed
 /// campaign replays journaled results byte-identically. Signal failure
@@ -96,23 +94,24 @@ struct CellOutcome {
   bool ok() const { return St == Status::Ok; }
 };
 
+/// How a campaign cell runs by default: forked, two retries 50 ms then
+/// 100 ms apart.
+inline constexpr support::Supervised::Policy CellPolicy = {
+    .Limits = {.WallMs = 120000, .KillGraceMs = 500, .AddressSpaceMb = 4096},
+    .Retries = 2, .BackoffMs = 50, .FaultSite = "campaign:cell"};
+
 struct Options {
-  /// State directory holding journal.wal; empty means
-  /// $FPINT_CAMPAIGN_DIR, then "campaign_state".
+  /// State directory holding journal.wal (required).
   std::string Dir;
   /// Identity of the campaign (grid + workloads + schema). A journal
   /// whose header carries a different key is discarded, never merged:
   /// resuming only ever replays cells of this exact campaign.
   std::string CampaignKey;
-  int Retries = -1;    ///< <0: $FPINT_CAMPAIGN_RETRIES, then 2.
-  int BackoffMs = -1;  ///< <0: $FPINT_CAMPAIGN_BACKOFF_MS, then 50.
-  int DeadlineMs = -1; ///< <0: $FPINT_CAMPAIGN_DEADLINE_MS, then 120000.
-  int CellAsMb = -1;   ///< <0: $FPINT_CAMPAIGN_AS_MB, then 4096.
+  /// How each cell runs; InProcess skips the fork (tests only).
+  support::Supervised::Policy Policy = CellPolicy;
   /// 0: fan out on the shared ThreadPool; 1: run cells inline on the
   /// calling thread (required inside a forked child).
   int Jobs = 0;
-  /// Fork each cell into a Subprocess sandbox (the production mode).
-  bool Sandbox = true;
 };
 
 /// Campaign-level accounting for reports and logs. All counts are for
@@ -148,7 +147,7 @@ bool publishReport(const std::string &Path, const json::Value &Doc,
 
 class Runner {
 public:
-  explicit Runner(Options Opts);
+  explicit Runner(Options O) : Opts(std::move(O)) {}
 
   /// Runs the campaign: opens (and recovers) the journal, replays
   /// completed cells, executes the rest, and returns one outcome per
@@ -160,7 +159,6 @@ public:
                                const CellFn &Fn);
 
   const Summary &summary() const { return Sum; }
-  const Options &options() const { return Opts; }
 
 private:
   CellOutcome executeCell(const Cell &C, const CellFn &Fn);

@@ -269,6 +269,7 @@ int campaign::runExplore(const ExploreOptions &Opts, Summary *OutSummary) {
   Options RunnerOpts;
   RunnerOpts.Dir = Opts.StateDir;
   RunnerOpts.CampaignKey = CampaignKey.hex();
+  RunnerOpts.Policy = Opts.Policy;
   RunnerOpts.Jobs = Opts.Jobs;
 
   Runner R(RunnerOpts);

@@ -56,7 +56,8 @@ struct ExploreOptions {
   std::string Grid = "small";      ///< "smoke", "small", or "full".
   std::vector<std::string> Workloads; ///< Empty: grid-dependent default.
   std::string OutPath = "bench_out/explore.json";
-  std::string StateDir;            ///< Empty: campaign default.
+  std::string StateDir = "campaign_state"; ///< Journal directory.
+  support::Supervised::Policy Policy = CellPolicy; ///< Per-cell policy.
   int Jobs = 0;                    ///< Forwarded to Runner::Options.
   bool Strict = false;             ///< Nonzero exit on ERR cells.
 };

@@ -191,3 +191,34 @@ bool Journal::reset(std::string *Err) {
   }
   return true;
 }
+
+bool Journal::openCampaign(const std::string &Path, const std::string &Key,
+                           const json::Value &Extra, CampaignLog &Out,
+                           std::string *Err) {
+  Out = CampaignLog();
+  RecoveryInfo Info;
+  if (!open(Path, [&](const json::Value &R) { Out.Records.push_back(R); },
+            Info, Err))
+    return false;
+  Out.TruncatedBytes = Info.TruncatedBytes;
+  if (!Out.Records.empty()) {
+    const json::Value &H = Out.Records.front();
+    if (H.strOr("type", "") == "campaign" &&
+        H.strOr("schema", "") == JournalSchema && H.strOr("key", "") == Key) {
+      Out.Header = H;
+      Out.Records.erase(Out.Records.begin());
+      return true;
+    }
+    Out.Discarded = true;
+    Out.Records.clear();
+    if (!reset(Err))
+      return false;
+  }
+  Out.Header = json::Value::object();
+  Out.Header.set("type", "campaign");
+  Out.Header.set("schema", JournalSchema);
+  Out.Header.set("key", Key);
+  for (const auto &M : Extra.members())
+    Out.Header.set(M.first, M.second);
+  return append(Out.Header, Err);
+}

@@ -55,6 +55,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace fpint {
 namespace campaign {
@@ -94,6 +95,23 @@ public:
   /// Truncates the journal to empty (a journal bound to a different
   /// campaign identity is discarded, not merged).
   bool reset(std::string *Err);
+
+  /// What openCampaign() replays.
+  struct CampaignLog {
+    json::Value Header;               ///< This campaign's header record.
+    std::vector<json::Value> Records; ///< Records after the header.
+    size_t TruncatedBytes = 0;        ///< Torn-tail bytes dropped.
+    bool Discarded = false; ///< Another campaign's journal was reset.
+  };
+
+  /// Opens the journal at \p Path for campaign \p Key. A journal headed
+  /// by this campaign's header (same key and JournalSchema) replays
+  /// into \p Out; any other is discarded, never merged, and restarted
+  /// with a header of type, schema, key, then \p Extra's members.
+  /// Returns false with \p Err set on I/O failure.
+  bool openCampaign(const std::string &Path, const std::string &Key,
+                    const json::Value &Extra, CampaignLog &Out,
+                    std::string *Err);
 
   bool isOpen() const { return Fd >= 0; }
   const std::string &path() const { return FilePath; }

@@ -163,7 +163,7 @@ void DiskCache::evictIfNeeded() {
     std::lock_guard<std::mutex> Lock(Mu);
     if (Opts.MaxEntries == 0 || Entries <= Opts.MaxEntries)
       return;
-    Over = Entries - Opts.MaxEntries;
+    Over = Entries - std::max<size_t>(1, Opts.MaxEntries * 7 / 8);
   }
 
   // Collect (mtime, path) for every entry and drop the oldest. This

@@ -25,9 +25,10 @@
 /// how a schema bump (or a corrupted file) self-heals instead of
 /// serving stale results.
 ///
-/// Capacity is bounded by MaxEntries; exceeding it evicts the
-/// least-recently-modified entries (get() refreshes an entry's mtime,
-/// so eviction approximates LRU across daemon restarts).
+/// Capacity is bounded by MaxEntries; exceeding it evicts the least-
+/// recently-modified entries down to 7/8 of the cap, so a full tier
+/// pays its directory scan once per MaxEntries/8 stores (get()
+/// refreshes mtime: eviction approximates LRU across daemon restarts).
 ///
 /// Thread-safety: all methods are safe to call concurrently; the file
 /// operations are per-entry atomic and the counters are mutex-guarded.

@@ -3,14 +3,12 @@
 #include "serve/Server.h"
 
 #include "sir/Parser.h"
-#include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 #include "timing/Simulator.h"
 #include "vm/Trap.h"
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -24,50 +22,8 @@ using namespace fpint::serve;
 using json::Value;
 
 //===----------------------------------------------------------------------===//
-// Options.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-long envLong(const char *Name, long Def) {
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Def;
-  return std::atol(E);
-}
-
-} // namespace
-
-ServerOptions ServerOptions::fromEnv() {
-  ServerOptions O;
-  if (const char *Dir = std::getenv("FPINT_SERVE_CACHE"))
-    if (*Dir)
-      O.CacheDir = Dir;
-  O.Jobs = static_cast<unsigned>(envLong("FPINT_SERVE_JOBS", 0));
-  O.MaxRequestBytes = static_cast<size_t>(
-      envLong("FPINT_SERVE_MAX_REQUEST_BYTES",
-              static_cast<long>(O.MaxRequestBytes)));
-  O.MemCacheEntries = static_cast<size_t>(
-      envLong("FPINT_SERVE_MEM_ENTRIES",
-              static_cast<long>(O.MemCacheEntries)));
-  O.DiskCacheEntries = static_cast<size_t>(
-      envLong("FPINT_SERVE_DISK_ENTRIES",
-              static_cast<long>(O.DiskCacheEntries)));
-  O.SandboxWallMs =
-      static_cast<int>(envLong("FPINT_SERVE_TIMEOUT_MS", O.SandboxWallMs));
-  O.SandboxKillGraceMs = static_cast<int>(
-      envLong("FPINT_SERVE_KILL_GRACE_MS", O.SandboxKillGraceMs));
-  O.SandboxAsMb = static_cast<uint64_t>(
-      envLong("FPINT_SERVE_AS_MB", static_cast<long>(O.SandboxAsMb)));
-  if (const char *S = std::getenv("FPINT_SERVE_SANDBOX"))
-    if (*S)
-      O.Sandbox = S[0] != '0';
-  return O;
-}
-
-//===----------------------------------------------------------------------===//
 // Deterministic request execution (runs inside the sandbox child, or
-// in-process with Sandbox off).
+// in-process under an InProcess policy).
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -102,19 +58,12 @@ Value computeBody(const Request &Req) {
 } // namespace
 
 std::pair<Value, bool> Server::execute(const Request &Req) {
-  support::Supervised::Policy P;
-  P.Limits.WallMs = Opts.SandboxWallMs;
-  P.Limits.KillGraceMs = Opts.SandboxKillGraceMs;
-  P.Limits.AddressSpaceMb = Opts.SandboxAsMb;
-  P.FaultSite = "serve";
-  P.InProcess = !Opts.Sandbox;
-
   Value Body;
   support::Supervised::Result R = support::Supervised::run(
       [&Req](support::Supervised::Sink &S) {
         S.write(computeBody(Req).dump());
       },
-      P,
+      Opts.Policy,
       [&Body](const std::string &Payload, std::string &Why) {
         return json::Value::parse(Payload, Body, &Why) && Body.isObject();
       });
@@ -134,7 +83,7 @@ std::pair<Value, bool> Server::execute(const Request &Req) {
   // type it for the client. None of these are deterministic functions
   // of the request, so none are cached -- a retry after a transient
   // fault can still succeed.
-  if (Opts.Sandbox) {
+  if (!Opts.Policy.InProcess) {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Counts.SandboxDeaths;
   }

@@ -39,6 +39,7 @@
 
 #include "serve/DiskCache.h"
 #include "serve/Protocol.h"
+#include "support/Subprocess.h"
 
 #include <atomic>
 #include <cstdint>
@@ -55,23 +56,23 @@ class ThreadPool;
 
 namespace serve {
 
-/// Daemon configuration; every field has an FPINT_SERVE_* environment
-/// override (see fromEnv() and docs/SERVING.md).
-struct ServerOptions {
-  std::string CacheDir = "serve_cache"; ///< FPINT_SERVE_CACHE
-  unsigned Jobs = 0;                    ///< FPINT_SERVE_JOBS (0 = auto)
-  size_t MaxRequestBytes = 8u << 20;    ///< FPINT_SERVE_MAX_REQUEST_BYTES
-  size_t MemCacheEntries = 1024;        ///< FPINT_SERVE_MEM_ENTRIES
-  size_t DiskCacheEntries = 8192;       ///< FPINT_SERVE_DISK_ENTRIES
-  int SandboxWallMs = 30000;            ///< FPINT_SERVE_TIMEOUT_MS
-  int SandboxKillGraceMs = 500;         ///< FPINT_SERVE_KILL_GRACE_MS
-  uint64_t SandboxAsMb = 4096;          ///< FPINT_SERVE_AS_MB
-  /// FPINT_SERVE_SANDBOX=0 executes misses in-process instead of in a
-  /// forked child (faster, but a crashing request kills the server --
-  /// tests and trusted single-user runs only).
-  bool Sandbox = true;
+/// How a miss runs by default: forked, no retries (the client may retry
+/// an uncached death itself).
+inline constexpr support::Supervised::Policy MissPolicy = {
+    .Limits = {.WallMs = 30000, .KillGraceMs = 500, .AddressSpaceMb = 4096},
+    .FaultSite = "serve"};
 
-  static ServerOptions fromEnv();
+/// Daemon configuration. The server reads no environment; fpint-serve
+/// builds these from its flags and the FPINT_SANDBOX_* overrides.
+struct ServerOptions {
+  std::string CacheDir = "serve_cache"; ///< On-disk result store.
+  unsigned Jobs = 0;                 ///< Worker threads (0 = auto).
+  size_t MaxRequestBytes = 8u << 20; ///< Frame size limit.
+  size_t MemCacheEntries = 1024;     ///< Memory-tier entry cap.
+  size_t DiskCacheEntries = 8192;    ///< Disk-tier entry cap (0 = none).
+  /// How misses run; InProcess skips the fork (a crashing request then
+  /// kills the server: tests and trusted single-user runs only).
+  support::Supervised::Policy Policy = MissPolicy;
 };
 
 class Server {
@@ -122,8 +123,8 @@ private:
   bool memGet(const std::string &Key, std::string &Body);
   void memPut(const std::string &Key, const std::string &Body);
 
-  /// Runs one validated compile request (sandboxed or in-process per
-  /// Opts.Sandbox) and returns (body, cacheable).
+  /// Runs one validated compile request under Opts.Policy and returns
+  /// (body, cacheable).
   std::pair<json::Value, bool> execute(const Request &Req);
 
   ServerOptions Opts;

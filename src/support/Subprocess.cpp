@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <thread>
@@ -302,7 +305,40 @@ Failure failureOf(TaskResult &R) {
   return F;
 }
 
+/// Sets \p Field from the variable \p Name when it holds a number in
+/// [\p Lo, \p Hi]; warns and keeps \p Field when it holds anything else.
+template <typename T>
+void envOverride(const char *Name, uint64_t Lo, uint64_t Hi, T &Field) {
+  const char *Text = std::getenv(Name);
+  if (!Text)
+    return;
+  if (std::optional<uint64_t> V = parseDecimal(Text, Lo, Hi))
+    Field = static_cast<T>(*V);
+  else
+    std::fprintf(stderr, "warning: ignoring %s='%s' (not in [%" PRIu64
+                         ", %" PRIu64 "])\n", Name, Text, Lo, Hi);
+}
+
 } // namespace
+
+std::optional<uint64_t> support::parseDecimal(const char *Text, uint64_t Lo,
+                                              uint64_t Hi) {
+  const char *End = Text + std::strlen(Text);
+  uint64_t V = 0;
+  auto [Stop, Ec] = std::from_chars(Text, End, V);
+  if (Ec != std::errc() || Stop != End || V < Lo || V > Hi)
+    return std::nullopt;
+  return V;
+}
+
+Supervised::Policy Supervised::Policy::withEnv() const {
+  Policy P = *this;
+  envOverride("FPINT_SANDBOX_TIMEOUT_MS", 1, MaxTimeoutMs, P.Limits.WallMs);
+  envOverride("FPINT_SANDBOX_KILL_GRACE_MS", 0, 60000, P.Limits.KillGraceMs);
+  envOverride("FPINT_SANDBOX_AS_MB", 1, 1u << 20, P.Limits.AddressSpaceMb);
+  envOverride("FPINT_SANDBOX_RETRIES", 0, 10, P.Retries);
+  return P;
+}
 
 void Supervised::Sink::write(const std::string &Bytes) {
   if (Buffer)

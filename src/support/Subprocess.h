@@ -153,7 +153,16 @@ public:
     /// Run in the calling process with an in-memory sink: exceptions
     /// are still typed, but a crash or hang is not contained.
     bool InProcess = false;
+
+    /// This policy with the FPINT_SANDBOX_{TIMEOUT_MS,KILL_GRACE_MS,
+    /// AS_MB,RETRIES} overrides; a value that is not a number in range
+    /// warns once and keeps this policy's (docs/ARCHITECTURE.md,
+    /// "Environment"). Binaries call it once, then apply their flags.
+    Policy withEnv() const;
   };
+
+  /// Longest watchdog FPINT_SANDBOX_TIMEOUT_MS accepts (24 h).
+  static constexpr uint64_t MaxTimeoutMs = 24ull * 60 * 60 * 1000;
 
   struct Failure {
     enum class Kind {
@@ -193,6 +202,12 @@ public:
   /// and \p A (if given) accepts its payload.
   static Result run(const Task &T, const Policy &P, const Accept &A = {});
 };
+
+/// \p Text as a decimal number in [\p Lo, \p Hi] -- digits only, no
+/// sign, space or suffix -- else nullopt. The one reader for numeric
+/// knobs and flags (FPINT_JOBS, FPINT_SANDBOX_*, --jobs, --timeout-ms).
+std::optional<uint64_t> parseDecimal(const char *Text, uint64_t Lo,
+                                     uint64_t Hi);
 
 } // namespace support
 } // namespace fpint

@@ -2,6 +2,9 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Subprocess.h"
+
+#include <algorithm>
 #include <cstdlib>
 
 using namespace fpint;
@@ -9,13 +12,12 @@ using namespace fpint::support;
 
 unsigned ThreadPool::defaultThreadCount() {
   if (const char *Env = std::getenv("FPINT_JOBS")) {
-    long N = std::strtol(Env, nullptr, 10);
-    if (N >= 1)
-      return static_cast<unsigned>(N);
-    return 1; // Malformed or non-positive: degenerate single worker.
+    // Malformed or zero: degenerate single worker.
+    std::optional<uint64_t> N = parseDecimal(Env, 1, UINT64_MAX);
+    return N ? static_cast<unsigned>(std::min<uint64_t>(*N, MaxThreads)) : 1;
   }
   unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 1;
+  return HW ? std::min(HW, MaxThreads) : 1;
 }
 
 ThreadPool &ThreadPool::global() {
@@ -24,8 +26,7 @@ ThreadPool &ThreadPool::global() {
 }
 
 ThreadPool::ThreadPool(unsigned Threads) {
-  if (Threads == 0)
-    Threads = defaultThreadCount();
+  Threads = Threads ? std::min(Threads, MaxThreads) : defaultThreadCount();
   Workers.reserve(Threads);
   for (unsigned I = 0; I < Threads; ++I)
     Workers.emplace_back([this] { workerLoop(); });

@@ -12,8 +12,8 @@
 ///
 /// The worker count defaults to std::thread::hardware_concurrency()
 /// and can be overridden with the FPINT_JOBS environment variable
-/// (clamped to at least 1; FPINT_JOBS=1 gives a single-worker pool,
-/// the degenerate but still correct configuration).
+/// (malformed or zero gives 1; FPINT_JOBS=1 gives a single-worker pool,
+/// the degenerate but still correct configuration), at most MaxThreads.
 ///
 /// submit() returns a std::future carrying the task's result; an
 /// exception thrown by the task is captured and rethrown from
@@ -40,7 +40,10 @@ namespace support {
 
 class ThreadPool {
 public:
-  /// Spawns \p Threads workers (0 means defaultThreadCount()).
+  /// Upper bound on any pool's worker count.
+  static constexpr unsigned MaxThreads = 256;
+
+  /// Spawns \p Threads (at most MaxThreads; 0: defaultThreadCount()).
   explicit ThreadPool(unsigned Threads = 0);
 
   /// Drains the queue and joins all workers.
@@ -70,8 +73,8 @@ public:
 
   unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// FPINT_JOBS if set (clamped to >= 1), else hardware_concurrency()
-  /// (or 1 if that reports 0).
+  /// FPINT_JOBS if set (1 unless a positive number), else
+  /// hardware_concurrency() (or 1 if that reports 0); at most MaxThreads.
   static unsigned defaultThreadCount();
 
   /// Process-wide pool shared by the bench harness (constructed on

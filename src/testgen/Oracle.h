@@ -32,9 +32,11 @@
 
 #include "core/Pipeline.h"
 #include "sir/IR.h"
+#include "support/Subprocess.h"
 #include "timing/MachineConfig.h"
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +105,21 @@ struct OracleReport {
 /// Runs the full differential check of \p M under \p Opts.
 OracleReport runOracle(const sir::Module &M,
                        const OracleOptions &Opts = OracleOptions());
+
+/// How one fpint-fuzz iteration's checker runs by default: forked, no
+/// retries, no fault site (the oracle fires its own "oracle").
+inline constexpr support::Supervised::Policy FuzzPolicy = {
+    .Limits = {.WallMs = 10000, .KillGraceMs = 300, .AddressSpaceMb = 4096}};
+
+/// FuzzPolicy with the FPINT_SANDBOX_* overrides applied, then the
+/// --timeout-ms flag (\p TimeoutMs) when given: flags beat the
+/// environment.
+inline support::Supervised::Policy fuzzPolicy(std::optional<int> TimeoutMs) {
+  support::Supervised::Policy P = FuzzPolicy.withEnv();
+  if (TimeoutMs)
+    P.Limits.WallMs = *TimeoutMs;
+  return P;
+}
 
 } // namespace testgen
 } // namespace fpint

@@ -106,10 +106,10 @@ Options inProcessOptions(const std::string &Dir, const std::string &Key) {
   Options O;
   O.Dir = Dir;
   O.CampaignKey = Key;
-  O.Retries = 0;
-  O.BackoffMs = 0;
+  O.Policy.Retries = 0;
+  O.Policy.BackoffMs = 0;
   O.Jobs = 1;
-  O.Sandbox = false;
+  O.Policy.InProcess = true;
   return O;
 }
 
@@ -325,9 +325,9 @@ TEST(Runner, SigkillMidCampaignResumesByteIdentical) {
         Options O;
         O.Dir = Dir;
         O.CampaignKey = "kill-test";
-        O.Retries = 0;
+        O.Policy.Retries = 0;
         O.Jobs = 1; // Pool threads do not survive the fork.
-        O.Sandbox = false;
+        O.Policy.InProcess = true;
         int Done = 0;
         Runner R(O);
         R.run(makeCells(6), [&Done](const Cell &C) {
@@ -375,11 +375,11 @@ TEST(Runner, InjectedFirstAttemptCrashIsAbsorbedByRetry) {
   Options O;
   O.Dir = Dir.Path;
   O.CampaignKey = "crash-once";
-  O.Retries = 1;
-  O.BackoffMs = 1;
-  O.DeadlineMs = 20000;
+  O.Policy.Retries = 1;
+  O.Policy.BackoffMs = 1;
+  O.Policy.Limits.WallMs = 20000;
   O.Jobs = 1;
-  O.Sandbox = true;
+  O.Policy.InProcess = false;
   Runner R(O);
   std::vector<CellOutcome> Outcomes =
       R.run(makeCells(3), [](const Cell &C) { return squareDoc(C); });
@@ -405,11 +405,11 @@ TEST(Runner, DeadlineExhaustionDegradesToTypedErr) {
   Options O;
   O.Dir = Dir.Path;
   O.CampaignKey = "deadline";
-  O.Retries = 1;
-  O.BackoffMs = 1;
-  O.DeadlineMs = 300;
+  O.Policy.Retries = 1;
+  O.Policy.BackoffMs = 1;
+  O.Policy.Limits.WallMs = 300;
   O.Jobs = 1;
-  O.Sandbox = true;
+  O.Policy.InProcess = false;
   Runner R(O);
   std::vector<CellOutcome> Outcomes =
       R.run(makeCells(1), [](const Cell &) -> json::Value {

@@ -96,8 +96,8 @@ Parsed parseResponse(const std::string &Text) {
 ServerOptions quickOptions(const std::string &CacheDir, bool Sandbox) {
   ServerOptions O;
   O.CacheDir = CacheDir;
-  O.Sandbox = Sandbox;
-  O.SandboxWallMs = 20000;
+  O.Policy.InProcess = !Sandbox;
+  O.Policy.Limits.WallMs = 20000;
   return O;
 }
 
@@ -312,6 +312,18 @@ TEST(DiskCacheTest, EvictionKeepsEntryCountBounded) {
                           "{\"status\": \"ok\"}"));
   EXPECT_LE(Cache.entryCount(), 4u);
   EXPECT_GE(Cache.counters().Evictions, 6u);
+}
+
+TEST(DiskCacheTest, OverflowEvictsDownToSevenEighths) {
+  // One store past the cap trims the tier well below it, so the next
+  // MaxEntries/8 stores pay no directory scan.
+  TempDir Dir("diskcache_hysteresis");
+  constexpr size_t Cap = 16;
+  DiskCache Cache({Dir.Path, Cap});
+  for (size_t I = 0; I < Cap + 1; ++I)
+    ASSERT_TRUE(Cache.put(DiskCache::key("m" + std::to_string(I), "p", "mc"),
+                          "{\"status\": \"ok\"}"));
+  EXPECT_LE(Cache.entryCount(), Cap * 7 / 8);
 }
 
 //===----------------------------------------------------------------------===//

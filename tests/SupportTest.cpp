@@ -1,11 +1,20 @@
-//===- tests/SupportTest.cpp - RNG and table utilities --------------------===//
+//===- tests/SupportTest.cpp - RNG, table and sandbox-knob utilities ------===//
 
+#include "bench/BenchCommon.h"
+#include "campaign/Campaign.h"
+#include "serve/Server.h"
 #include "support/Rng.h"
+#include "support/Subprocess.h"
 #include "support/Table.h"
+#include "testgen/Oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 
 using namespace fpint;
 
@@ -125,6 +134,152 @@ TEST(Table, ToleratesShortRows) {
   std::string Out(Buf, Size);
   free(Buf);
   EXPECT_NE(Out.find("only-one"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Strict decimal parsing and the FPINT_SANDBOX_* policy reader.
+//===----------------------------------------------------------------------===//
+
+using support::Supervised;
+using support::parseDecimal;
+
+TEST(ParseDecimal, AcceptsWholeNumbersInRange) {
+  EXPECT_EQ(parseDecimal("0", 0, 10), std::optional<uint64_t>(0));
+  EXPECT_EQ(parseDecimal("10", 0, 10), std::optional<uint64_t>(10));
+  EXPECT_EQ(parseDecimal("007", 1, 10), std::optional<uint64_t>(7));
+  EXPECT_EQ(parseDecimal("18446744073709551615", 0, UINT64_MAX),
+            std::optional<uint64_t>(UINT64_MAX));
+}
+
+TEST(ParseDecimal, RejectsEverythingElse) {
+  for (const char *Bad : {"", "abc", "2s", "-1", "+1", " 1", "1 ", "1.5",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999999"})
+    EXPECT_EQ(parseDecimal(Bad, 0, UINT64_MAX), std::nullopt) << Bad;
+  EXPECT_EQ(parseDecimal("11", 0, 10), std::nullopt);
+  EXPECT_EQ(parseDecimal("0", 1, 10), std::nullopt);
+}
+
+/// Sets (or, with null, unsets) one environment variable for a scope
+/// and restores the previous state afterwards.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    if (Value)
+      setenv(Name, Value, 1);
+    else
+      unsetenv(Name);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name, Saved->c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
+
+/// Unsets the four sandbox knobs for a scope.
+struct NoSandboxEnv {
+  ScopedEnv Timeout{"FPINT_SANDBOX_TIMEOUT_MS", nullptr};
+  ScopedEnv Grace{"FPINT_SANDBOX_KILL_GRACE_MS", nullptr};
+  ScopedEnv As{"FPINT_SANDBOX_AS_MB", nullptr};
+  ScopedEnv Retries{"FPINT_SANDBOX_RETRIES", nullptr};
+};
+
+void expectPolicy(const Supervised::Policy &P, int WallMs, int GraceMs,
+                  uint64_t AsMb, int Retries, int BackoffMs,
+                  const char *FaultSite) {
+  EXPECT_EQ(P.Limits.WallMs, WallMs);
+  EXPECT_EQ(P.Limits.KillGraceMs, GraceMs);
+  EXPECT_EQ(P.Limits.AddressSpaceMb, AsMb);
+  EXPECT_EQ(P.Retries, Retries);
+  EXPECT_EQ(P.BackoffMs, BackoffMs);
+  EXPECT_EQ(std::string(P.FaultSite ? P.FaultSite : ""), FaultSite);
+  EXPECT_FALSE(P.InProcess);
+}
+
+TEST(SandboxPolicy, CallerDefaultsWithoutOverrides) {
+  NoSandboxEnv Clean;
+  {
+    SCOPED_TRACE("bench cell");
+    expectPolicy(bench::detail::cellPolicy(true), 120000, 500, 4096, 2, 50,
+                 "cell");
+  }
+  {
+    SCOPED_TRACE("campaign cell");
+    expectPolicy(campaign::CellPolicy.withEnv(), 120000, 500, 4096, 2, 50,
+                 "campaign:cell");
+    expectPolicy(campaign::Options().Policy, 120000, 500, 4096, 2, 50,
+                 "campaign:cell");
+  }
+  {
+    SCOPED_TRACE("serve miss");
+    expectPolicy(serve::ServerOptions().Policy.withEnv(), 30000, 500, 4096, 0,
+                 0, "serve");
+  }
+  {
+    SCOPED_TRACE("fpint-fuzz");
+    expectPolicy(testgen::fuzzPolicy(std::nullopt), 10000, 300, 4096, 0, 0,
+                 "");
+  }
+  // Without the sandbox a bench cell runs in-process, once.
+  Supervised::Policy InProcess = bench::detail::cellPolicy(false);
+  EXPECT_TRUE(InProcess.InProcess);
+  EXPECT_EQ(InProcess.Retries, 0);
+  EXPECT_EQ(InProcess.FaultSite, nullptr);
+}
+
+TEST(SandboxPolicy, ValidOverridesApply) {
+  ScopedEnv Timeout("FPINT_SANDBOX_TIMEOUT_MS", "2000");
+  ScopedEnv Grace("FPINT_SANDBOX_KILL_GRACE_MS", "0");
+  ScopedEnv As("FPINT_SANDBOX_AS_MB", "512");
+  ScopedEnv Retries("FPINT_SANDBOX_RETRIES", "0");
+  testing::internal::CaptureStderr();
+  Supervised::Policy P = bench::detail::cellPolicy(true);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  // Only the four limits move; backoff and fault site stay the caller's.
+  expectPolicy(P, 2000, 0, 512, 0, 50, "cell");
+}
+
+TEST(SandboxPolicy, MalformedValueKeepsDefaultAndWarnsOnce) {
+  NoSandboxEnv Clean;
+  for (const char *Bad :
+       {"", "abc", "2s", "-1", "0", "99999999999999999999999"}) {
+    SCOPED_TRACE(std::string("FPINT_SANDBOX_TIMEOUT_MS='") + Bad + "'");
+    ScopedEnv Timeout("FPINT_SANDBOX_TIMEOUT_MS", Bad);
+    testing::internal::CaptureStderr();
+    Supervised::Policy P = bench::detail::cellPolicy(true);
+    std::string Err = testing::internal::GetCapturedStderr();
+    // The watchdog stays armed at the default; atoi would have made
+    // "abc" a 0 ms (disabled) watchdog and "2s" a 2 ms one.
+    EXPECT_EQ(P.Limits.WallMs, 120000);
+    EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1);
+    EXPECT_NE(Err.find("FPINT_SANDBOX_TIMEOUT_MS"), std::string::npos);
+  }
+  for (const char *Name : {"FPINT_SANDBOX_KILL_GRACE_MS", "FPINT_SANDBOX_AS_MB",
+                           "FPINT_SANDBOX_RETRIES"}) {
+    SCOPED_TRACE(Name);
+    ScopedEnv Knob(Name, "abc");
+    testing::internal::CaptureStderr();
+    Supervised::Policy P = serve::MissPolicy.withEnv();
+    std::string Err = testing::internal::GetCapturedStderr();
+    expectPolicy(P, 30000, 500, 4096, 0, 0, "serve");
+    EXPECT_EQ(std::count(Err.begin(), Err.end(), '\n'), 1);
+    EXPECT_NE(Err.find(Name), std::string::npos);
+  }
+}
+
+TEST(SandboxPolicy, FlagBeatsEnvironment) {
+  NoSandboxEnv Clean;
+  ScopedEnv Timeout("FPINT_SANDBOX_TIMEOUT_MS", "5000");
+  EXPECT_EQ(testgen::fuzzPolicy(std::nullopt).Limits.WallMs, 5000);
+  EXPECT_EQ(testgen::fuzzPolicy(2000).Limits.WallMs, 2000);
 }
 
 } // namespace

@@ -95,6 +95,20 @@ TEST(ThreadPoolTest, FpintJobsEnvOverridesDefaultCount) {
   EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
 }
 
+TEST(ThreadPoolTest, FpintJobsIsParsedStrictlyAndClamped) {
+  // No pool is built here: a count this large is only ever parsed.
+  ASSERT_EQ(setenv("FPINT_JOBS", "100000", 1), 0);
+  EXPECT_EQ(ThreadPool::defaultThreadCount(), ThreadPool::MaxThreads);
+  ASSERT_EQ(setenv("FPINT_JOBS", "99999999999999999999999", 1), 0);
+  EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
+  for (const char *Bad : {"-1", "2s", "", " 3"}) {
+    ASSERT_EQ(setenv("FPINT_JOBS", Bad, 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u) << Bad;
+  }
+  ASSERT_EQ(unsetenv("FPINT_JOBS"), 0);
+  EXPECT_LE(ThreadPool::defaultThreadCount(), ThreadPool::MaxThreads);
+}
+
 TEST(ThreadPoolTest, TasksMaySubmitSubtasks) {
   ThreadPool Pool(2);
   auto F = Pool.submit([&Pool] {

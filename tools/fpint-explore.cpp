@@ -19,11 +19,14 @@
 ///                        a run-varying <stem>_campaign.json sidecar
 ///                        lands next to it)
 ///     --state-dir DIR    campaign journal directory (default
-///                        $FPINT_CAMPAIGN_DIR, then campaign_state)
+///                        campaign_state)
 ///     --fresh            discard any existing journal first
 ///     --jobs N           1 = run cells inline; default: thread pool
 ///     --strict           exit 1 if any cell degraded to ERR
 ///     --list             print the grid and exit
+///
+/// Cells run under campaign::CellPolicy with the FPINT_SANDBOX_*
+/// overrides (docs/ARCHITECTURE.md, "Environment").
 ///
 /// Interrupt it at any point -- SIGKILL included -- and rerun with the
 /// same arguments: completed cells replay from the journal and only
@@ -34,6 +37,7 @@
 
 #include "campaign/Explore.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,6 +76,7 @@ std::vector<std::string> splitList(const std::string &Text) {
 
 int main(int argc, char **argv) {
   campaign::ExploreOptions Opts;
+  Opts.Policy = campaign::CellPolicy.withEnv();
   bool List = false;
   bool Fresh = false;
 
@@ -95,7 +100,11 @@ int main(int argc, char **argv) {
     } else if (A == "--fresh") {
       Fresh = true;
     } else if (A == "--jobs") {
-      Opts.Jobs = std::atoi(needArg("--jobs"));
+      std::optional<uint64_t> N =
+          support::parseDecimal(needArg("--jobs"), 0, INT_MAX);
+      if (!N)
+        return usage(2);
+      Opts.Jobs = static_cast<int>(*N);
     } else if (A == "--strict") {
       Opts.Strict = true;
     } else if (A == "--list") {
@@ -126,13 +135,8 @@ int main(int argc, char **argv) {
   }
 
   if (Fresh) {
-    std::string Dir = Opts.StateDir;
-    if (Dir.empty()) {
-      const char *E = std::getenv("FPINT_CAMPAIGN_DIR");
-      Dir = E && *E ? E : "campaign_state";
-    }
     std::error_code EC;
-    std::filesystem::remove(std::filesystem::path(Dir) / "journal.wal", EC);
+    std::filesystem::remove(Opts.StateDir + "/journal.wal", EC);
   }
 
   return campaign::runExplore(Opts, nullptr);

@@ -52,6 +52,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace fpint;
@@ -72,7 +73,8 @@ void usage() {
       "  --write-repro DIR    where reduced repros go (default\n"
       "                       tests/corpus/regressions)\n"
       "  --timeout-ms N       wall-clock guard per sandboxed iteration\n"
-      "                       (default 10000; hangs become triaged repros)\n"
+      "                       (default 10000 or $FPINT_SANDBOX_TIMEOUT_MS;\n"
+      "                       hangs become triaged repros)\n"
       "  --journal DIR        journal completed batches into DIR so an\n"
       "                       interrupted campaign resumes from the last\n"
       "                       completed batch, with the journaled base seed\n"
@@ -108,6 +110,13 @@ struct FuzzStats {
   uint64_t Crashes = 0;
   uint64_t Hangs = 0;
 };
+
+/// The FuzzStats counters a journaled batch record carries, in order.
+constexpr std::pair<const char *, uint64_t FuzzStats::*> BatchCounters[] = {
+    {"modules", &FuzzStats::Modules},       {"skipped", &FuzzStats::Skipped},
+    {"dyn_instrs", &FuzzStats::DynInstrs},
+    {"mismatches", &FuzzStats::Mismatches}, {"crashes", &FuzzStats::Crashes},
+    {"hangs", &FuzzStats::Hangs}};
 
 std::string sanitizeFileName(std::string S) {
   for (char &C : S)
@@ -221,17 +230,11 @@ bool parseCheckerLines(const std::string &Payload, IterOutcome &Out) {
   return HaveVerdict;
 }
 
-/// Checks \p M -- in a forked sandbox under \p TimeoutMs, or
-/// in-process without containment -- and classifies the result.
+/// Checks \p M under \p P -- in a forked sandbox, or in-process
+/// without containment -- and classifies the result.
 IterOutcome checkSupervised(const sir::Module &M,
                             const testgen::OracleOptions &Opts,
-                            int TimeoutMs, bool InProcess) {
-  support::Supervised::Policy P;
-  P.Limits.WallMs = TimeoutMs;
-  P.Limits.KillGraceMs = 300;
-  P.Limits.AddressSpaceMb = 4096;
-  P.InProcess = InProcess;
-
+                            const support::Supervised::Policy &P) {
   IterOutcome Out;
   support::Supervised::Result R = support::Supervised::run(
       [&](support::Supervised::Sink &S) {
@@ -245,7 +248,7 @@ IterOutcome checkSupervised(const sir::Module &M,
         return parseCheckerLines(Payload, Out);
       });
   if (R.ok()) {
-    Out.Describe = InProcess ? "in-process" : "ok";
+    Out.Describe = P.InProcess ? "in-process" : "ok";
     return Out;
   }
 
@@ -330,7 +333,7 @@ int main(int argc, char **argv) {
   std::string ReproDir = "tests/corpus/regressions";
   std::string JournalDir;
   uint64_t BatchSize = 100;
-  int TimeoutMs = 10000;
+  std::optional<int> TimeoutMs; // --timeout-ms; unset: the policy's.
   bool Sandbox = true, Reduce = true, CheckTiming = true, KeepGoing = false,
        Emit = false, Quiet = false;
 
@@ -354,9 +357,15 @@ int main(int argc, char **argv) {
       Preset = Value();
     else if (!std::strcmp(Arg, "--write-repro"))
       ReproDir = Value();
-    else if (!std::strcmp(Arg, "--timeout-ms"))
-      TimeoutMs = static_cast<int>(parseSeed(Value()));
-    else if (!std::strcmp(Arg, "--journal"))
+    else if (!std::strcmp(Arg, "--timeout-ms")) {
+      std::optional<uint64_t> Ms = support::parseDecimal(
+          Value(), 1, support::Supervised::MaxTimeoutMs);
+      if (!Ms) {
+        usage();
+        return 2;
+      }
+      TimeoutMs = static_cast<int>(*Ms);
+    } else if (!std::strcmp(Arg, "--journal"))
       JournalDir = Value();
     else if (!std::strcmp(Arg, "--batch"))
       BatchSize = std::max<uint64_t>(1, parseSeed(Value()));
@@ -421,6 +430,8 @@ int main(int argc, char **argv) {
                                std::make_move_iterator(RV.begin()),
                                std::make_move_iterator(RV.end()));
   }
+  support::Supervised::Policy Policy = testgen::fuzzPolicy(TimeoutMs);
+  Policy.InProcess = !Sandbox;
   FuzzStats Stats;
   std::map<std::string, uint64_t> Buckets;
   int Exit = 0;
@@ -450,73 +461,44 @@ int main(int argc, char **argv) {
     Key.add(std::to_string(CheckTiming)).add(std::to_string(BatchSize));
     const std::string CampaignKey = Key.hex();
 
-    std::vector<json::Value> Records;
-    campaign::Journal::RecoveryInfo Info;
+    char SeedBuf[32];
+    std::snprintf(SeedBuf, sizeof(SeedBuf), "0x%" PRIx64, BaseSeed);
+    json::Value Seed = json::Value::object();
+    Seed.set("seed", SeedBuf);
+    campaign::Journal::CampaignLog Log;
     std::string Err;
-    if (!Journal.open(
-            JournalDir + "/journal.wal",
-            [&](const json::Value &R) { Records.push_back(R); }, Info,
-            &Err)) {
+    if (!Journal.openCampaign(JournalDir + "/journal.wal", CampaignKey, Seed,
+                              Log, &Err)) {
       std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
       return 2;
     }
-    const bool HaveHeader =
-        !Records.empty() && Records.front().strOr("type", "") == "campaign" &&
-        Records.front().strOr("schema", "") == campaign::JournalSchema &&
-        Records.front().strOr("key", "") == CampaignKey;
-    if (HaveHeader) {
-      BaseSeed = parseSeed(Records.front().strOr("seed", "1").c_str());
-      for (size_t I = 1; I < Records.size(); ++I) {
-        const json::Value &R = Records[I];
-        if (R.strOr("type", "") != "batch")
-          continue;
-        DoneBatches.insert(static_cast<uint64_t>(R.numberOr("index", 0)));
-        Stats.Modules += static_cast<uint64_t>(R.numberOr("modules", 0));
-        Stats.Skipped += static_cast<uint64_t>(R.numberOr("skipped", 0));
-        Stats.DynInstrs += static_cast<uint64_t>(R.numberOr("dyn_instrs", 0));
-        Stats.Mismatches +=
-            static_cast<uint64_t>(R.numberOr("mismatches", 0));
-        Stats.Crashes += static_cast<uint64_t>(R.numberOr("crashes", 0));
-        Stats.Hangs += static_cast<uint64_t>(R.numberOr("hangs", 0));
-        Exit = std::max(Exit, static_cast<int>(R.numberOr("exit", 0)));
-        const json::Value *B = R.find("buckets");
-        if (B && B->isObject())
-          for (const auto &Member : B->members())
-            Buckets[Member.first] +=
-                static_cast<uint64_t>(Member.second.number());
-      }
-      if (!DoneBatches.empty())
-        std::fprintf(stderr,
-                     "fpint-fuzz: resuming campaign (base seed 0x%" PRIx64
-                     "): %zu batch(es) already complete\n",
-                     BaseSeed, DoneBatches.size());
-    } else {
-      if (!Records.empty()) {
-        // A journal bound to a different campaign is discarded, never
-        // merged (the campaign::Runner contract).
-        std::fprintf(stderr, "fpint-fuzz: journal belongs to a different "
-                             "campaign; starting fresh\n");
-        if (!Journal.reset(&Err)) {
-          std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
-          return 2;
-        }
-      }
-      json::Value H = json::Value::object();
-      H.set("type", "campaign");
-      H.set("schema", campaign::JournalSchema);
-      H.set("key", CampaignKey);
-      char SeedBuf[32];
-      std::snprintf(SeedBuf, sizeof(SeedBuf), "0x%" PRIx64, BaseSeed);
-      H.set("seed", SeedBuf);
-      if (!Journal.append(H, &Err)) {
-        std::fprintf(stderr, "fpint-fuzz: journal: %s\n", Err.c_str());
-        return 2;
-      }
+    if (Log.Discarded)
+      std::fprintf(stderr, "fpint-fuzz: journal belongs to a different "
+                           "campaign; starting fresh\n");
+    // A resumed campaign continues the random sequence it started with.
+    BaseSeed = parseSeed(Log.Header.strOr("seed", "1").c_str());
+    for (const json::Value &R : Log.Records) {
+      if (R.strOr("type", "") != "batch")
+        continue;
+      DoneBatches.insert(static_cast<uint64_t>(R.numberOr("index", 0)));
+      for (const auto &[Name, Field] : BatchCounters)
+        Stats.*Field += static_cast<uint64_t>(R.numberOr(Name, 0));
+      Exit = std::max(Exit, static_cast<int>(R.numberOr("exit", 0)));
+      const json::Value *B = R.find("buckets");
+      if (B && B->isObject())
+        for (const auto &Member : B->members())
+          Buckets[Member.first] +=
+              static_cast<uint64_t>(Member.second.number());
     }
+    if (!DoneBatches.empty())
+      std::fprintf(stderr,
+                   "fpint-fuzz: resuming campaign (base seed 0x%" PRIx64
+                   "): %zu batch(es) already complete\n",
+                   BaseSeed, DoneBatches.size());
   }
 
   auto Check = [&](const sir::Module &M) {
-    return checkSupervised(M, OracleOpts, TimeoutMs, !Sandbox);
+    return checkSupervised(M, OracleOpts, Policy);
   };
 
   const uint64_t Total = HaveOne ? 1 : Iters;
@@ -602,15 +584,15 @@ int main(int argc, char **argv) {
         // probes get a tightened watchdog so reduction stays bounded.
         const IterOutcome::Kind WantKind = Out.K;
         const int WantSignal = Out.Signal;
-        const int ProbeTimeout =
-            WantKind == IterOutcome::Kind::Hang
-                ? std::min(TimeoutMs, 1500)
-                : TimeoutMs;
+        support::Supervised::Policy ProbePolicy = Policy;
+        if (WantKind == IterOutcome::Kind::Hang)
+          ProbePolicy.Limits.WallMs = std::min(Policy.Limits.WallMs, 1500);
+        ProbePolicy.InProcess =
+            WantKind == IterOutcome::Kind::Mismatch && !Sandbox;
         testgen::InterestingPredicate SameBucket =
             [&](const sir::Module &Candidate) {
-              IterOutcome Probe = checkSupervised(
-                  Candidate, OracleOpts, ProbeTimeout,
-                  WantKind == IterOutcome::Kind::Mismatch && !Sandbox);
+              IterOutcome Probe =
+                  checkSupervised(Candidate, OracleOpts, ProbePolicy);
               if (Probe.K != WantKind)
                 return false;
               if (WantKind == IterOutcome::Kind::Crash)
@@ -659,12 +641,8 @@ int main(int argc, char **argv) {
       json::Value R = json::Value::object();
       R.set("type", "batch");
       R.set("index", BatchIdx);
-      R.set("modules", Stats.Modules - Before.Modules);
-      R.set("skipped", Stats.Skipped - Before.Skipped);
-      R.set("dyn_instrs", Stats.DynInstrs - Before.DynInstrs);
-      R.set("mismatches", Stats.Mismatches - Before.Mismatches);
-      R.set("crashes", Stats.Crashes - Before.Crashes);
-      R.set("hangs", Stats.Hangs - Before.Hangs);
+      for (const auto &[Name, Field] : BatchCounters)
+        R.set(Name, Stats.*Field - Before.*Field);
       R.set("exit", Exit);
       json::Value BucketDeltas = json::Value::object();
       for (const auto &B : Buckets) {

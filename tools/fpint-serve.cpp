@@ -17,16 +17,15 @@
 ///                                           stdin/stdout (single
 ///                                           connection, then exit)
 ///
-///     --cache-dir DIR   on-disk result store (default serve_cache,
-///                       env FPINT_SERVE_CACHE)
+///     --cache-dir DIR   on-disk result store (default serve_cache)
 ///     --jobs N          worker threads for the socket accept loop
-///                       (default auto, env FPINT_SERVE_JOBS)
+///                       (default auto)
 ///     --no-sandbox      execute misses in-process (tests only; a
 ///                       crashing request kills the daemon)
 ///
-/// Every option also has an FPINT_SERVE_* environment override; flags
-/// win over the environment. SIGINT/SIGTERM drain the accept loop and
-/// exit 0.
+/// Misses run under serve::MissPolicy plus the FPINT_SANDBOX_* overrides
+/// (docs/ARCHITECTURE.md, "Environment"). SIGINT/SIGTERM drain the
+/// accept loop and exit 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +33,7 @@
 #include "serve/Server.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -94,7 +94,8 @@ int usage(int Status) {
 } // namespace
 
 int main(int argc, char **argv) {
-  serve::ServerOptions Opts = serve::ServerOptions::fromEnv();
+  serve::ServerOptions Opts;
+  Opts.Policy = serve::MissPolicy.withEnv();
   std::string SocketPath;
   bool Stdio = false;
 
@@ -114,9 +115,13 @@ int main(int argc, char **argv) {
     } else if (A == "--cache-dir") {
       Opts.CacheDir = needArg("--cache-dir");
     } else if (A == "--jobs") {
-      Opts.Jobs = static_cast<unsigned>(std::atol(needArg("--jobs")));
+      std::optional<uint64_t> N =
+          support::parseDecimal(needArg("--jobs"), 0, UINT_MAX);
+      if (!N)
+        return usage(2);
+      Opts.Jobs = static_cast<unsigned>(*N); // The pool caps it.
     } else if (A == "--no-sandbox") {
-      Opts.Sandbox = false;
+      Opts.Policy.InProcess = true;
     } else if (A == "--help" || A == "-h") {
       return usage(0);
     } else {

@@ -147,11 +147,10 @@ private:
 /// the cap was hit) is folded into the pass's PassStat.
 class FixpointPass : public ModulePass {
 public:
-  static constexpr unsigned DefaultMaxIterations = 8;
+  static constexpr unsigned MaxIterations = 8;
 
-  FixpointPass(std::vector<std::unique_ptr<ModulePass>> Passes,
-               unsigned MaxIterations = DefaultMaxIterations)
-      : Passes(std::move(Passes)), MaxIterations(MaxIterations) {}
+  explicit FixpointPass(std::vector<std::unique_ptr<ModulePass>> Passes)
+      : Passes(std::move(Passes)) {}
 
   std::string name() const override;
   unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
@@ -166,7 +165,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<ModulePass>> Passes;
-  unsigned MaxIterations;
   unsigned Iterations = 0;
   bool Converged = true;
   bool Mutated = false;

@@ -13,6 +13,26 @@
 using namespace fpint;
 using namespace fpint::partition;
 
+namespace {
+
+/// Erases the blocks of \p F that control cannot reach from its entry
+/// and renumbers the rest; true if there were any. No definition
+/// reaches a use in such a block, so the RDG cannot pin what the use
+/// reads to INT, and the rewrite would retype a value that the use
+/// still reads from the INT file.
+bool eraseUnreachableBlocks(sir::Function &F) {
+  F.renumber(); // The CFG follows layout indices.
+  const analysis::CFG Cfg(F);
+  if (std::erase_if(F.blocks(), [&](const auto &BB) {
+        return !Cfg.isReachable(BB->index());
+      }) == 0)
+    return false;
+  F.renumber(); // The survivors must hold dense layout indices again.
+  return true;
+}
+
+} // namespace
+
 const char *partition::schemeName(Scheme S) {
   switch (S) {
   case Scheme::None:
@@ -32,6 +52,9 @@ ModuleRewrite partition::partitionModule(sir::Module &M, Scheme S,
   ModuleRewrite Result;
   if (S == Scheme::None)
     return Result;
+  for (const auto &F : M.functions())
+    if (eraseUnreachableBlocks(*F) && AM)
+      AM->invalidateFunction(*F);
 
   // Block weights and per-function graphs come from the analysis
   // manager when the caller runs under one (the pass pipeline), and

@@ -7,7 +7,9 @@
 #include "regalloc/Allocator.h"
 #include "stats/Report.h"
 
+#include <bit>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -255,6 +257,15 @@ void parseCacheObj(Validator &V, const Value &Obj, const char *What,
   V.getUnsigned(Obj, "line_bytes", C.LineBytes);
   V.getUnsigned(Obj, "hit_latency", C.HitLatency);
   V.getUnsigned(Obj, "miss_penalty", C.MissPenalty);
+  // timing::Cache indexes with shifts and masks, so the line size and
+  // the set count size_bytes / (line_bytes * assoc) must be powers of
+  // two. The product is taken in 64 bits, so it cannot wrap to zero.
+  const uint64_t SetBytes = uint64_t{C.LineBytes} * C.Assoc;
+  if (!std::has_single_bit(C.LineBytes) || C.Assoc == 0 ||
+      !std::has_single_bit(C.SizeBytes / SetBytes))
+    V.fail(std::string("'") + What +
+           "' needs a power-of-two line_bytes, a non-zero assoc and a "
+           "power-of-two set count size_bytes / (line_bytes * assoc)");
 }
 
 void parseMachineObj(Validator &V, const Value &Obj,

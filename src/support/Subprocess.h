@@ -63,8 +63,6 @@ struct SandboxLimits {
   int WallMs = 0;
   /// Grace between the watchdog's SIGTERM and the SIGKILL escalation.
   int KillGraceMs = 1000;
-  /// RLIMIT_CPU in seconds (soft limit; hard limit +2s); 0 inherits.
-  uint64_t CpuSeconds = 0;
   /// RLIMIT_AS in MiB; 0 inherits the parent's limit.
   uint64_t AddressSpaceMb = 0;
   /// How much of the child's stderr to retain (the tail).
@@ -205,9 +203,15 @@ public:
 
 /// \p Text as a decimal number in [\p Lo, \p Hi] -- digits only, no
 /// sign, space or suffix -- else nullopt. The one reader for numeric
-/// knobs and flags (FPINT_JOBS, FPINT_SANDBOX_*, --jobs, --timeout-ms).
+/// knobs and flags (FPINT_JOBS, FPINT_SANDBOX_*, --jobs, --timeout-ms,
+/// --iters, --batch).
 std::optional<uint64_t> parseDecimal(const char *Text, uint64_t Lo,
                                      uint64_t Hi);
+
+/// \p Text as a 64-bit seed: decimal digits, or "0x" and hex digits
+/// (the form repro lines print) -- no sign, space or suffix -- else
+/// nullopt. The one reader for seed flags and FPINT_FUZZ_SEED.
+std::optional<uint64_t> parseSeed(const char *Text);
 
 } // namespace support
 } // namespace fpint

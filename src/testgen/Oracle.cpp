@@ -80,6 +80,10 @@ std::vector<VariantSpec> testgen::regallocVariants() {
 
 namespace {
 
+/// Step budget for the original program; a compiled variant gets four
+/// times as many plus slack for its copies and spills.
+constexpr uint64_t BaselineStepBudget = 20000000;
+
 /// Everything observable about one functional execution.
 struct RunImage {
   vm::VM::Result Result;
@@ -140,7 +144,7 @@ public:
   OracleReport run() {
     if (Opts.Progress)
       Opts.Progress("baseline");
-    Baseline = runFunctional(M, Opts.Args, Opts.BaselineMaxSteps, nullptr);
+    Baseline = runFunctional(M, Opts.Args, BaselineStepBudget, nullptr);
     if (!Baseline.Result.Ok) {
       // Resource limits say nothing about the program; skip. A
       // deterministic trap is a semantic outcome every variant must
@@ -195,7 +199,7 @@ private:
     // more state than the pipeline does (exit value, memory image) and
     // must observe any mutator-injected bug.
     vm::Trace Trace;
-    const uint64_t CompiledBudget = Opts.BaselineMaxSteps * 4 + 10000;
+    const uint64_t CompiledBudget = BaselineStepBudget * 4 + 10000;
     RunImage Compiled =
         runFunctional(*Run.Compiled, Opts.Args, CompiledBudget, &Trace);
 

@@ -71,7 +71,6 @@ std::vector<VariantSpec> regallocVariants();
 struct OracleOptions {
   std::vector<VariantSpec> Variants = defaultVariants();
   std::vector<int32_t> Args;      ///< main() arguments (train == ref).
-  uint64_t BaselineMaxSteps = 20000000; ///< Step budget for the original.
   bool CheckTiming = true;        ///< Run the simulator cross-checks.
   timing::MachineConfig Machine;  ///< Machine for the timing cross-check.
   /// Test hook: applied to each variant's compiled module before the

@@ -2,6 +2,7 @@
 
 #include "timing/Cache.h"
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 
@@ -9,19 +10,23 @@ using namespace fpint;
 using namespace fpint::timing;
 
 Cache::Cache(CacheConfig ConfigIn) : Config(ConfigIn) {
-  assert(Config.LineBytes != 0 && Config.Assoc != 0);
-  NumSets = Config.SizeBytes / (Config.LineBytes * Config.Assoc);
-  assert(NumSets != 0 && (NumSets & (NumSets - 1)) == 0 &&
-         "set count must be a power of two");
+  assert(std::has_single_bit(Config.LineBytes) &&
+         "line size must be a power of two");
+  assert(Config.Assoc != 0);
+  const uint32_t NumSets = Config.SizeBytes / (Config.LineBytes * Config.Assoc);
+  assert(std::has_single_bit(NumSets) && "set count must be a power of two");
+  LineShift = std::countr_zero(Config.LineBytes);
+  SetShift = std::countr_zero(NumSets);
+  SetMask = NumSets - 1;
   Lines.assign(static_cast<size_t>(NumSets) * Config.Assoc, Line());
 }
 
 unsigned Cache::access(uint32_t Addr, bool Write) {
   ++Accesses;
   ++Tick;
-  uint32_t LineAddr = Addr / Config.LineBytes;
-  uint32_t Set = LineAddr & (NumSets - 1);
-  uint32_t Tag = LineAddr / NumSets;
+  uint32_t LineAddr = Addr >> LineShift;
+  uint32_t Set = LineAddr & SetMask;
+  uint32_t Tag = LineAddr >> SetShift;
   Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
 
   for (uint32_t W = 0; W < Config.Assoc; ++W) {
@@ -50,9 +55,9 @@ unsigned Cache::access(uint32_t Addr, bool Write) {
 }
 
 bool Cache::probe(uint32_t Addr) const {
-  uint32_t LineAddr = Addr / Config.LineBytes;
-  uint32_t Set = LineAddr & (NumSets - 1);
-  uint32_t Tag = LineAddr / NumSets;
+  uint32_t LineAddr = Addr >> LineShift;
+  uint32_t Set = LineAddr & SetMask;
+  uint32_t Tag = LineAddr >> SetShift;
   const Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
   for (uint32_t W = 0; W < Config.Assoc; ++W)
     if (Base[W].Valid && Base[W].Tag == Tag)

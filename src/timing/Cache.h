@@ -61,8 +61,10 @@ private:
   };
 
   CacheConfig Config;
-  uint32_t NumSets;
-  std::vector<Line> Lines; // NumSets * Assoc.
+  unsigned LineShift; ///< log2(LineBytes).
+  unsigned SetShift;  ///< log2(number of sets).
+  uint32_t SetMask;   ///< Number of sets - 1.
+  std::vector<Line> Lines; // (SetMask + 1) * Assoc.
   uint64_t Tick = 0;
   uint64_t Accesses = 0;
   uint64_t Misses = 0;

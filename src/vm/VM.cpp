@@ -32,8 +32,7 @@ std::vector<TraceEntry> Trace::entries() const {
 }
 
 VM::VM(const sir::Module &M, Options Opts) : M(M), Opts(Opts) {
-  Mem.assign(Opts.MemBytes, 0);
-  StackTop = Opts.MemBytes;
+  Mem.assign(MemBytes, 0);
 
   // Lay out globals from GlobalBase upward, word aligned, and copy in
   // initializers. The layout depends only on declaration order, so the
@@ -146,67 +145,62 @@ bool VM::storeByte(uint32_t Addr, uint8_t Value) {
   return true;
 }
 
-bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
-              int32_t &RetValue, unsigned Depth) {
-  // Native-stack headroom backstop for the depth guard: the byte cost
-  // of one exec() frame varies several-fold between builds (sanitizer
-  // redzones), so measure actual consumption from the outermost frame.
-  char Probe;
-  uintptr_t Here = reinterpret_cast<uintptr_t>(&Probe);
-  if (Depth == 0) {
-    NativeStackBase = Here;
-  } else {
-    size_t Used = NativeStackBase > Here ? NativeStackBase - Here
-                                         : Here - NativeStackBase;
-    if (Used > Opts.MaxNativeStackBytes)
-      return trap(TrapKind::StackOverflow,
-                  "interpreter stack limit exceeded in '" + F.name() + "'");
-  }
-  if (Depth > Opts.MaxCallDepth)
+template <typename ArgFn>
+bool VM::pushFrame(const sir::Function &F, size_t NumArgs, ArgFn ArgAt) {
+  if (Depth > MaxCallDepth)
     return trap(TrapKind::CallDepthExceeded,
                 "call depth limit exceeded in '" + F.name() + "'");
-
-  // Resolved once per frame so recording a step needs no lookup.
-  const uint32_t BasePc = Opts.CollectTrace ? FuncBasePc.at(&F) : 0;
-
-  Frame Fr;
-  Fr.F = &F;
-  Fr.IntRegs.assign(F.numRegs(), 0);
-  Fr.FpRegs.assign(F.numRegs(), 0.0f);
-
   // Reachable from unverified modules (a call site whose argument list
   // does not match the callee); a trap, not an assert, so malformed
   // input degrades instead of aborting the harness.
-  if (Args.size() != F.formals().size())
+  if (NumArgs != F.formals().size())
     return trap(TrapKind::BadArgCount,
-                "call to '" + F.name() + "' with " +
-                    std::to_string(Args.size()) + " arguments, expected " +
+                "call to '" + F.name() + "' with " + std::to_string(NumArgs) +
+                    " arguments, expected " +
                     std::to_string(F.formals().size()));
-  for (size_t A = 0; A < Args.size(); ++A) {
-    Reg Formal = F.formals()[A];
-    if (F.regClass(Formal) == RegClass::Fp) {
-      // FP-passed integer argument (Section 6.6 extension): the value
-      // travels as raw bits in the FP file.
-      float Raw;
-      std::memcpy(&Raw, &Args[A], 4);
-      Fr.FpRegs[Formal.id()] = Raw;
-    } else {
-      Fr.IntRegs[Formal.id()] = Args[A];
-    }
-  }
-
-  // Allocate this invocation's spill frame.
-  uint32_t FrameBytes = (F.frameWords() * 4 + 15u) & ~15u;
-  if (FrameBytes > StackTop - GlobalBase)
+  // This invocation's spill frame sits just below the caller's.
+  const uint32_t Top = Depth ? Frames[Depth - 1].FramePtr : MemBytes;
+  const uint32_t FrameBytes = (F.frameWords() * 4 + 15u) & ~15u;
+  if (FrameBytes > Top - GlobalBase)
     return trap(TrapKind::StackOverflow, "stack overflow in '" + F.name() + "'");
-  StackTop -= FrameBytes;
-  Fr.FramePtr = StackTop;
+  if (!F.entry())
+    return trap(TrapKind::NoEntryBlock,
+                "function '" + F.name() + "' has no entry block");
+
+  if (Depth == Frames.size())
+    Frames.emplace_back(); // A deque: the caller's frame does not move.
+  Frame &Fr = Frames[Depth];
+  Fr.F = &F;
+  Fr.BasePc = Opts.CollectTrace ? FuncBasePc.at(&F) : 0;
+  Fr.FramePtr = Top - FrameBytes;
+  Fr.IntRegs.assign(F.numRegs(), 0);
+  Fr.FpRegs.assign(F.numRegs(), 0.0f);
+  for (size_t A = 0; A < NumArgs; ++A) {
+    const Reg Formal = F.formals()[A];
+    const int32_t V = ArgAt(A);
+    // FP-passed integer argument (Section 6.6 extension): the value
+    // travels as raw bits in the FP file.
+    if (F.regClass(Formal) == RegClass::Fp)
+      std::memcpy(&Fr.FpRegs[Formal.id()], &V, 4);
+    else
+      Fr.IntRegs[Formal.id()] = V;
+  }
+  ++Depth;
+  return true;
+}
+
+bool VM::exec(const sir::Function &Main, const std::vector<int32_t> &MainArgs,
+              int32_t &RetValue) {
+  Depth = 0;
+  if (!pushFrame(Main, MainArgs.size(), [&](size_t A) { return MainArgs[A]; }))
+    return false;
+  Frame *Fr = &Frames[0];
 
   auto IntUse = [&](const Instruction &I, unsigned Idx) {
-    return Fr.IntRegs[I.uses()[Idx].id()];
+    return Fr->IntRegs[I.uses()[Idx].id()];
   };
   auto FpUse = [&](const Instruction &I, unsigned Idx) {
-    return Fr.FpRegs[I.uses()[Idx].id()];
+    return Fr->FpRegs[I.uses()[Idx].id()];
   };
   // FPa-assigned ALU instructions read/write the FP register file but
   // perform integer arithmetic on the 32-bit pattern. We model FP
@@ -216,65 +210,45 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
   // bit-punned int32 inside the float array.
   auto FpBitsUse = [&](const Instruction &I, unsigned Idx) {
     int32_t V;
-    float Raw = Fr.FpRegs[I.uses()[Idx].id()];
+    float Raw = Fr->FpRegs[I.uses()[Idx].id()];
     std::memcpy(&V, &Raw, 4);
     return V;
   };
   auto SetFpBits = [&](Reg R, int32_t V) {
     float Raw;
     std::memcpy(&Raw, &V, 4);
-    Fr.FpRegs[R.id()] = Raw;
+    Fr->FpRegs[R.id()] = Raw;
   };
-  const sir::Function &Fn = F;
   auto DataUse = [&](const Instruction &I, unsigned Idx) -> int32_t {
     Reg R = I.uses()[Idx];
-    if (Fn.regClass(R) == RegClass::Fp)
+    if (Fr->F->regClass(R) == RegClass::Fp)
       return FpBitsUse(I, Idx);
-    return Fr.IntRegs[R.id()];
+    return Fr->IntRegs[R.id()];
   };
   auto SetData = [&](Reg R, int32_t V) {
-    if (Fn.regClass(R) == RegClass::Fp)
+    if (Fr->F->regClass(R) == RegClass::Fp)
       SetFpBits(R, V);
     else
-      Fr.IntRegs[R.id()] = V;
+      Fr->IntRegs[R.id()] = V;
   };
 
-  auto Bail = [&]() {
-    StackTop += FrameBytes;
-    return false;
-  };
-
-  const sir::BasicBlock *BB = F.entry();
+  const sir::BasicBlock *BB = Main.entry();
   size_t Idx = 0;
-  if (!BB) {
-    trap(TrapKind::NoEntryBlock, "function '" + F.name() + "' has no entry block");
-    return Bail();
-  }
-
-  bool CountedBlock = false;
   for (;;) {
     // Advance across empty blocks / block ends by falling through.
     while (BB && Idx >= BB->instructions().size()) {
       BB = BB->fallthrough();
       Idx = 0;
-      CountedBlock = false;
     }
-    if (!BB) {
-      trap(TrapKind::ControlFellOffEnd,
-           "control fell off the end of '" + F.name() + "'");
-      return Bail();
-    }
-    if (Idx == 0 && !CountedBlock) {
-      if (Opts.CollectProfile)
-        ++Prof.BlockCounts[BB];
-      CountedBlock = true;
-    }
+    if (!BB)
+      return trap(TrapKind::ControlFellOffEnd,
+                  "control fell off the end of '" + Fr->F->name() + "'");
+    if (Idx == 0 && Opts.CollectProfile)
+      ++Prof.BlockCounts[BB];
 
     const Instruction &I = *BB->instructions()[Idx];
-    if (++Steps > Opts.MaxSteps) {
-      trap(TrapKind::FuelExhausted, "dynamic instruction budget exceeded");
-      return Bail();
-    }
+    if (++Steps > Opts.MaxSteps)
+      return trap(TrapKind::FuelExhausted, "dynamic instruction budget exceeded");
     if (Opts.CollectProfile)
       ++Prof.DynInstrs;
 
@@ -284,8 +258,8 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
     auto Record = [&](bool Taken) {
       if (!Opts.CollectTrace)
         return;
-      assert(I.id() < F.numInstrIds() && "tracing a module not renumbered");
-      const uint32_t Pc = BasePc + I.id() * 4;
+      assert(I.id() < Fr->F->numInstrIds() && "tracing a module not renumbered");
+      const uint32_t Pc = Fr->BasePc + I.id() * 4;
       uint32_t &Slot = SlotIdx[(Pc - CodeBase) / 4];
       if (Slot == NoSlot) {
         Slot = static_cast<uint32_t>(Tr.Slots.size());
@@ -400,58 +374,58 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       break;
     case Opcode::La: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(*Fr, I.mem(), AddrOk);
       if (!AddrOk)
-        return Bail();
-      Fr.IntRegs[I.def().id()] = static_cast<int32_t>(A);
+        return false;
+      Fr->IntRegs[I.def().id()] = static_cast<int32_t>(A);
       break;
     }
 
     case Opcode::Lw: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(*Fr, I.mem(), AddrOk);
       if (!AddrOk)
-        return Bail();
+        return false;
       MemAddr = A;
       int32_t V;
       if (!loadWord(A, V))
-        return Bail();
+        return false;
       SetData(I.def(), V);
       break;
     }
     case Opcode::Lb:
     case Opcode::Lbu: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(*Fr, I.mem(), AddrOk);
       if (!AddrOk)
-        return Bail();
+        return false;
       MemAddr = A;
       uint8_t B;
       if (!loadByte(A, B))
-        return Bail();
+        return false;
       int32_t V = Op == Opcode::Lb ? static_cast<int32_t>(static_cast<int8_t>(B))
                                    : static_cast<int32_t>(B);
-      Fr.IntRegs[I.def().id()] = V;
+      Fr->IntRegs[I.def().id()] = V;
       break;
     }
     case Opcode::Sw: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(*Fr, I.mem(), AddrOk);
       if (!AddrOk)
-        return Bail();
+        return false;
       MemAddr = A;
       if (!storeWord(A, DataUse(I, 0)))
-        return Bail();
+        return false;
       break;
     }
     case Opcode::Sb: {
       bool AddrOk = true;
-      uint32_t A = effectiveAddress(Fr, I.mem(), AddrOk);
+      uint32_t A = effectiveAddress(*Fr, I.mem(), AddrOk);
       if (!AddrOk)
-        return Bail();
+        return false;
       MemAddr = A;
       if (!storeByte(A, static_cast<uint8_t>(DataUse(I, 0) & 0xFF)))
-        return Bail();
+        return false;
       break;
     }
 
@@ -481,73 +455,75 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       Record(true);
       BB = I.target();
       Idx = 0;
-      CountedBlock = false;
       continue;
 
     case Opcode::Call: {
       const sir::Function *Callee = M.functionByName(I.callee());
-      if (!Callee) {
-        trap(TrapKind::UnknownCallee, "unknown callee '" + I.callee() + "'");
-        return Bail();
-      }
-      std::vector<int32_t> CallArgs;
-      CallArgs.reserve(I.uses().size());
-      for (unsigned A = 0; A < I.uses().size(); ++A) {
-        Reg ArgReg = I.uses()[A];
-        if (Fn.regClass(ArgReg) == RegClass::Fp)
-          CallArgs.push_back(FpBitsUse(I, A)); // FP-passed argument.
-        else
-          CallArgs.push_back(IntUse(I, A));
-      }
+      if (!Callee)
+        return trap(TrapKind::UnknownCallee,
+                    "unknown callee '" + I.callee() + "'");
       Record(false);
-      int32_t CallRet = 0;
-      if (!exec(*Callee, CallArgs, CallRet, Depth + 1))
-        return Bail();
-      if (I.def().isValid())
-        Fr.IntRegs[I.def().id()] = CallRet;
+      Fr->BB = BB;
+      Fr->Idx = Idx;
+      if (!pushFrame(*Callee, I.uses().size(),
+                     [&](size_t A) { return DataUse(I, A); }))
+        return false;
+      Fr = &Frames[Depth - 1];
+      BB = Callee->entry();
+      Idx = 0;
+      continue;
+    }
+    case Opcode::Ret: {
+      const int32_t V = I.uses().empty() ? 0 : IntUse(I, 0);
+      Record(false);
+      if (--Depth == 0) {
+        RetValue = V;
+        return true;
+      }
+      Fr = &Frames[Depth - 1];
+      BB = Fr->BB;
+      Idx = Fr->Idx;
+      const Instruction &Site = *BB->instructions()[Idx];
+      if (Site.def().isValid())
+        Fr->IntRegs[Site.def().id()] = V;
       ++Idx;
       continue;
     }
-    case Opcode::Ret:
-      RetValue = I.uses().empty() ? 0 : IntUse(I, 0);
-      Record(false);
-      StackTop += FrameBytes;
-      return true;
 
     case Opcode::CpToFp:
-      SetFpBits(I.def(), Fr.IntRegs[I.uses()[0].id()]);
+      SetFpBits(I.def(), Fr->IntRegs[I.uses()[0].id()]);
       break;
     case Opcode::CpToInt: {
       int32_t V;
-      float Raw = Fr.FpRegs[I.uses()[0].id()];
+      float Raw = Fr->FpRegs[I.uses()[0].id()];
       std::memcpy(&V, &Raw, 4);
-      Fr.IntRegs[I.def().id()] = V;
+      Fr->IntRegs[I.def().id()] = V;
       break;
     }
 
     case Opcode::FAdd:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) + FpUse(I, 1);
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) + FpUse(I, 1);
       break;
     case Opcode::FSub:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) - FpUse(I, 1);
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) - FpUse(I, 1);
       break;
     case Opcode::FMul:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) * FpUse(I, 1);
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) * FpUse(I, 1);
       break;
     case Opcode::FDiv:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) / FpUse(I, 1);
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) / FpUse(I, 1);
       break;
     case Opcode::FLi:
-      Fr.FpRegs[I.def().id()] = I.fimm();
+      Fr->FpRegs[I.def().id()] = I.fimm();
       break;
     case Opcode::FMove:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0);
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0);
       break;
     case Opcode::FCvtIF: {
       int32_t V;
       float Raw = FpUse(I, 0);
       std::memcpy(&V, &Raw, 4);
-      Fr.FpRegs[I.def().id()] = static_cast<float>(V);
+      Fr->FpRegs[I.def().id()] = static_cast<float>(V);
       break;
     }
     case Opcode::FCvtFI: {
@@ -565,13 +541,13 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       break;
     }
     case Opcode::FCmpLt:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) < FpUse(I, 1) ? 1.0f : 0.0f;
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) < FpUse(I, 1) ? 1.0f : 0.0f;
       break;
     case Opcode::FCmpLe:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) <= FpUse(I, 1) ? 1.0f : 0.0f;
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) <= FpUse(I, 1) ? 1.0f : 0.0f;
       break;
     case Opcode::FCmpEq:
-      Fr.FpRegs[I.def().id()] = FpUse(I, 0) == FpUse(I, 1) ? 1.0f : 0.0f;
+      Fr->FpRegs[I.def().id()] = FpUse(I, 0) == FpUse(I, 1) ? 1.0f : 0.0f;
       break;
 
     case Opcode::Out:
@@ -584,7 +560,6 @@ bool VM::exec(const sir::Function &F, const std::vector<int32_t> &Args,
       if (BranchTaken) {
         BB = I.target();
         Idx = 0;
-        CountedBlock = false;
       } else {
         ++Idx;
       }
@@ -623,7 +598,7 @@ VM::Result VM::run(const std::vector<int32_t> &MainArgs) {
   Prof = Profile();
 
   int32_t Ret = 0;
-  bool Ok = exec(*Main, MainArgs, Ret, 0);
+  bool Ok = exec(*Main, MainArgs, Ret);
   R.Ok = Ok;
   R.Trap = CurTrap;
   R.Error = Ok ? std::string() : CurTrap.message();

@@ -34,6 +34,7 @@
 #include "sir/IR.h"
 #include "vm/Trap.h"
 
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,20 +100,16 @@ struct Profile {
 /// Interprets a module starting from "main".
 class VM {
 public:
+  /// Flat guest memory size.
+  static constexpr uint32_t MemBytes = 16u << 20;
+  /// Deepest live call: main runs at depth 0, and a call that would
+  /// start a frame deeper than this traps CallDepthExceeded. Calls run
+  /// on the VM's own frame stack, so the cap does not depend on the
+  /// host's native stack.
+  static constexpr unsigned MaxCallDepth = 2000;
+
   struct Options {
-    uint32_t MemBytes = 16u << 20;  ///< Flat memory size.
     uint64_t MaxSteps = 400000000;  ///< Dynamic instruction budget.
-    /// Recursion guard. exec() recurses on the native stack (each
-    /// guest frame costs a few KB of C++ stack), so this must stay
-    /// small enough that the guard trap fires well before the host
-    /// stack does.
-    unsigned MaxCallDepth = 2000;
-    /// Backstop for the depth guard: native exec() frame sizes vary
-    /// wildly between builds (sanitizer redzones inflate them
-    /// several-fold), so the byte consumption measured from the
-    /// outermost frame is also capped, well inside the typical 8 MB
-    /// host stack.
-    size_t MaxNativeStackBytes = 4u << 20;
     bool CollectTrace = false;      ///< Record the dynamic trace.
     bool CollectProfile = false;    ///< Record block execution counts.
   };
@@ -161,15 +158,25 @@ public:
   std::vector<uint8_t> globalImage() const;
 
 private:
+  /// One live guest call. Frames are reused across calls and runs, so
+  /// their register files keep their capacity.
   struct Frame {
     const sir::Function *F = nullptr;
+    const sir::BasicBlock *BB = nullptr; ///< Block of the pending call.
+    size_t Idx = 0;                      ///< Index of the pending call.
+    uint32_t BasePc = 0;
     std::vector<int32_t> IntRegs;
     std::vector<float> FpRegs;
-    uint32_t FramePtr = 0;
+    uint32_t FramePtr = 0; ///< Spill frame; the next frame sits below.
   };
 
-  bool exec(const sir::Function &F, const std::vector<int32_t> &Args,
-            int32_t &RetValue, unsigned Depth);
+  /// Runs main(MainArgs) to its return or the first trap.
+  bool exec(const sir::Function &Main, const std::vector<int32_t> &MainArgs,
+            int32_t &RetValue);
+  /// Pushes a frame for a call of \p F with \p NumArgs arguments, where
+  /// ArgAt(A) reads argument A; false (with a trap) if it cannot start.
+  template <typename ArgFn>
+  bool pushFrame(const sir::Function &F, size_t NumArgs, ArgFn ArgAt);
   uint32_t effectiveAddress(const Frame &Fr, const sir::MemOperand &Mem,
                             bool &OkFlag);
 
@@ -184,8 +191,8 @@ private:
   std::unordered_map<std::string, uint32_t> GlobalAddrs;
   std::unordered_map<const sir::Function *, uint32_t> FuncBasePc;
   uint32_t NumSlots = 0; ///< Words of synthetic text; slot = word index.
-  uint32_t StackTop = 0;
-  uintptr_t NativeStackBase = 0;
+  std::deque<Frame> Frames; ///< Frames[0, Depth) are live.
+  unsigned Depth = 0;
 
   /// Records the typed trap that stops the current run (first trap
   /// wins) and returns false so trap sites can `return trap(...)`.

@@ -4,6 +4,7 @@
 #include "sir/Printer.h"
 #include "sir/Verifier.h"
 #include "support/Rng.h"
+#include "support/Subprocess.h"
 
 #include "PaperExamples.h"
 
@@ -18,10 +19,10 @@ namespace {
 
 /// Base seed for the randomized cases; FPINT_FUZZ_SEED reruns the whole
 /// suite over a different stream (useful for widening coverage in
-/// nightly CI without editing the test).
+/// nightly CI without editing the test). Read like fpint-fuzz reads it.
 uint64_t baseSeed() {
   if (const char *Env = std::getenv("FPINT_FUZZ_SEED"))
-    return std::strtoull(Env, nullptr, 0);
+    return support::parseSeed(Env).value_or(1);
   return 1;
 }
 

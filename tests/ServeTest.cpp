@@ -202,6 +202,34 @@ TEST(ParseRequest, RejectsBadValuesAndMissingModule) {
                             Err));
 }
 
+TEST(ParseRequest, RejectsCacheGeometryTheSimulatorCannotIndex) {
+  Request Req;
+  std::string Err;
+  auto Parse = [&](const char *Cache) {
+    Err.clear();
+    return parseRequest(std::string("{\"op\": \"compile\", \"module\": "
+                                    "\"m\", \"machine\": {\"dcache\": ") +
+                            Cache + "}}",
+                        Req, Err);
+  };
+  // 48-byte lines: 3072 / (48 * 1) = 64 sets, but the line is not a
+  // power of two.
+  EXPECT_FALSE(Parse("{\"size_bytes\": 3072, \"assoc\": 1, "
+                     "\"line_bytes\": 48}"));
+  EXPECT_NE(Err.find("dcache"), std::string::npos) << Err;
+  // 3 sets of 32-byte, 2-way lines.
+  EXPECT_FALSE(Parse("{\"size_bytes\": 192}"));
+  EXPECT_FALSE(Parse("{\"assoc\": 0}"));
+  EXPECT_FALSE(Parse("{\"line_bytes\": 0}"));
+  // line_bytes * assoc is 2^32, which wraps to 0 in 32 bits.
+  EXPECT_FALSE(Parse("{\"line_bytes\": 2147483648, \"assoc\": 2}"));
+  // Overrides that keep both counts powers of two are accepted.
+  ASSERT_TRUE(Parse("{\"size_bytes\": 8192, \"assoc\": 4, "
+                    "\"line_bytes\": 64}"))
+      << Err;
+  EXPECT_EQ(Req.Machine.DCache.LineBytes, 64u);
+}
+
 TEST(ParseRequest, AcceptsFullCompileRequest) {
   Request Req;
   std::string Err;

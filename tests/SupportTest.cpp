@@ -160,6 +160,30 @@ TEST(ParseDecimal, RejectsEverythingElse) {
   EXPECT_EQ(parseDecimal("0", 1, 10), std::nullopt);
 }
 
+TEST(ParseSeed, AcceptsDecimalAndHex) {
+  using support::parseSeed;
+  EXPECT_EQ(parseSeed("0"), std::optional<uint64_t>(0));
+  EXPECT_EQ(parseSeed("7"), std::optional<uint64_t>(7));
+  EXPECT_EQ(parseSeed("010"), std::optional<uint64_t>(10)); // Not octal.
+  EXPECT_EQ(parseSeed("0x7"), std::optional<uint64_t>(7));
+  EXPECT_EQ(parseSeed("0XdeadBEEF"), std::optional<uint64_t>(0xdeadbeef));
+  // The form every repro line prints.
+  EXPECT_EQ(parseSeed("0xd0bad0da572baaf1"),
+            std::optional<uint64_t>(0xd0bad0da572baaf1ull));
+  EXPECT_EQ(parseSeed("0xffffffffffffffff"),
+            std::optional<uint64_t>(UINT64_MAX));
+  EXPECT_EQ(parseSeed("18446744073709551615"),
+            std::optional<uint64_t>(UINT64_MAX));
+}
+
+TEST(ParseSeed, RejectsEverythingElse) {
+  for (const char *Bad :
+       {"", "x", "0x", "2x", "1 ", " 1", "-1", "+1", "0x-1", "0x+1", "0x 1",
+        "0xg", "0x1g", "1.0", "0b1", "0x10000000000000000",
+        "18446744073709551616"})
+    EXPECT_EQ(support::parseSeed(Bad), std::nullopt) << Bad;
+}
+
 /// Sets (or, with null, unsets) one environment variable for a scope
 /// and restores the previous state afterwards.
 class ScopedEnv {

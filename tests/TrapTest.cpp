@@ -189,15 +189,48 @@ entry:
   ret
 }
 )");
-  // Must trap (not segfault the host). Which resource guard fires
-  // first depends on the build's native frame size: the depth limit in
-  // a plain build, the byte backstop under sanitizer-inflated frames.
+  // Guest calls run on the VM's own frame stack, so runaway recursion
+  // trips the depth cap in every build, sanitizers included.
   VM::Result R = runModule(*M);
   EXPECT_FALSE(R.Ok);
-  EXPECT_TRUE(R.Trap.Kind == TrapKind::CallDepthExceeded ||
-              R.Trap.Kind == TrapKind::StackOverflow)
+  EXPECT_EQ(R.Trap.Kind, TrapKind::CallDepthExceeded)
       << trapKindName(R.Trap.Kind);
   EXPECT_TRUE(isResourceTrap(R.Trap.Kind));
+}
+
+TEST(Trap, CallDepthCapIsExact) {
+  // main runs at depth 0 and f(n) at depth 1 calls down to f(0) at
+  // depth n + 1.
+  auto M = parseOrDie(R"(
+func f(%n) {
+entry:
+  blez %n, base
+  addi %m, %n, -1
+  call %r, f(%m)
+  addi %s, %r, 1
+  ret %s
+base:
+  ret %n
+}
+
+func main(%n) {
+entry:
+  call %r, f(%n)
+  out %r
+  ret %r
+}
+)");
+  const int32_t Deepest = static_cast<int32_t>(VM::MaxCallDepth) - 1;
+  VM::Result R = runModule(*M, {Deepest});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitValue, Deepest);
+  EXPECT_EQ(R.Output, std::vector<int32_t>{Deepest});
+
+  R = runModule(*M, {Deepest + 1});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Trap.Kind, TrapKind::CallDepthExceeded)
+      << trapKindName(R.Trap.Kind);
+  EXPECT_TRUE(R.Output.empty());
 }
 
 TEST(Trap, KindIsRecordedInTelemetryJson) {

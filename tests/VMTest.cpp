@@ -434,9 +434,7 @@ entry:
   ret
 }
 )");
-  VM::Options Opts;
-  Opts.MaxCallDepth = 100;
-  VM Machine(*M, Opts);
+  VM Machine(*M);
   auto R = Machine.run();
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("depth"), std::string::npos);

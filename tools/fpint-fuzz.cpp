@@ -98,10 +98,6 @@ void usage() {
       "  --quiet              only print failures and the final summary\n");
 }
 
-uint64_t parseSeed(const char *S) {
-  return std::strtoull(S, nullptr, 0);
-}
-
 struct FuzzStats {
   uint64_t Modules = 0;
   uint64_t Skipped = 0;
@@ -322,8 +318,13 @@ const char *kindName(IterOutcome::Kind K) {
 int main(int argc, char **argv) {
   uint64_t Iters = 100;
   uint64_t BaseSeed = 1;
-  if (const char *Env = std::getenv("FPINT_FUZZ_SEED"))
-    BaseSeed = parseSeed(Env);
+  if (const char *Env = std::getenv("FPINT_FUZZ_SEED")) {
+    if (std::optional<uint64_t> S = support::parseSeed(Env))
+      BaseSeed = *S;
+    else
+      std::fprintf(stderr, "warning: ignoring FPINT_FUZZ_SEED='%s' (not a "
+                           "decimal or 0x-hex seed)\n", Env);
+  }
   bool HaveOne = false;
   uint64_t OneSeed = 0;
   std::string Preset; // Empty: cycle through all presets.
@@ -346,29 +347,32 @@ int main(int argc, char **argv) {
       }
       return argv[++A];
     };
+    // A malformed number is a usage error, never a silent prefix.
+    auto Number = [](std::optional<uint64_t> V) {
+      if (!V) {
+        usage();
+        std::exit(2);
+      }
+      return *V;
+    };
     if (!std::strcmp(Arg, "--iters"))
-      Iters = parseSeed(Value());
+      Iters = Number(support::parseDecimal(Value(), 0, UINT64_MAX));
     else if (!std::strcmp(Arg, "--seed"))
-      BaseSeed = parseSeed(Value());
+      BaseSeed = Number(support::parseSeed(Value()));
     else if (!std::strcmp(Arg, "--one")) {
       HaveOne = true;
-      OneSeed = parseSeed(Value());
+      OneSeed = Number(support::parseSeed(Value()));
     } else if (!std::strcmp(Arg, "--preset"))
       Preset = Value();
     else if (!std::strcmp(Arg, "--write-repro"))
       ReproDir = Value();
-    else if (!std::strcmp(Arg, "--timeout-ms")) {
-      std::optional<uint64_t> Ms = support::parseDecimal(
-          Value(), 1, support::Supervised::MaxTimeoutMs);
-      if (!Ms) {
-        usage();
-        return 2;
-      }
-      TimeoutMs = static_cast<int>(*Ms);
-    } else if (!std::strcmp(Arg, "--journal"))
+    else if (!std::strcmp(Arg, "--timeout-ms"))
+      TimeoutMs = static_cast<int>(Number(support::parseDecimal(
+          Value(), 1, support::Supervised::MaxTimeoutMs)));
+    else if (!std::strcmp(Arg, "--journal"))
       JournalDir = Value();
     else if (!std::strcmp(Arg, "--batch"))
-      BatchSize = std::max<uint64_t>(1, parseSeed(Value()));
+      BatchSize = Number(support::parseDecimal(Value(), 1, UINT64_MAX));
     else if (!std::strcmp(Arg, "--no-sandbox"))
       Sandbox = false;
     else if (!std::strcmp(Arg, "--no-reduce"))
@@ -476,7 +480,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "fpint-fuzz: journal belongs to a different "
                            "campaign; starting fresh\n");
     // A resumed campaign continues the random sequence it started with.
-    BaseSeed = parseSeed(Log.Header.strOr("seed", "1").c_str());
+    BaseSeed = support::parseSeed(Log.Header.strOr("seed", "1").c_str())
+                   .value_or(BaseSeed);
     for (const json::Value &R : Log.Records) {
       if (R.strOr("type", "") != "batch")
         continue;

@@ -35,8 +35,7 @@ int main(int argc, char **argv) {
               "(advanced scheme, 8-way)\n\n");
   timing::MachineConfig Machine = timing::MachineConfig::eightWay();
 
-  const std::vector<std::string> Allocators =
-      regalloc::AllocatorRegistry::global().names();
+  const std::vector<std::string> Allocators = regalloc::allocatorNames();
 
   // Wall-clock totals per allocator, accumulated across cells for the
   // stderr footer. Matrix cells run on pool threads; guard with the

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
 using namespace fpint;
 using namespace fpint::core;
@@ -25,617 +26,413 @@ const PipelineConfig &configOf(const PassState &State) {
   return State.Config ? *State.Config : Defaults;
 }
 
+/// Runs \p P and applies the one invalidation rule: a pass that made no
+/// change leaves every cached analysis valid (renumber() is idempotent
+/// on an unmutated module), any change drops them all.
+unsigned runAndInvalidate(const Pass &P, sir::Module &M,
+                          analysis::AnalysisManager &AM, PassState &State) {
+  unsigned Changes = P.Run(M, AM, State);
+  AM.invalidate(Changes ? analysis::PreservedAnalyses::none()
+                        : analysis::PreservedAnalyses::all());
+  return Changes;
+}
+
 //===----------------------------------------------------------------------===//
 // Built-in passes.
 //===----------------------------------------------------------------------===//
 
+/// Runs \p Fn over every function, invalidating each mutated function's
+/// cached analyses, and renumbers the module if anything changed
+/// (downstream stages require renumbered IR; renumbering an unmutated
+/// function is id-stable, so cached analyses of untouched functions
+/// survive it).
+template <typename FnT>
+unsigned eachFunction(sir::Module &M, analysis::AnalysisManager &AM,
+                      FnT Fn) {
+  unsigned Total = 0;
+  for (const auto &F : M.functions()) {
+    unsigned Changes = Fn(*F);
+    if (Changes)
+      AM.invalidateFunction(*F);
+    Total += Changes;
+  }
+  if (Total)
+    M.renumber();
+  return Total;
+}
+
+/// One individual optimization, ungated.
+Pass singleOpt(const char *Name, unsigned (*Fn)(sir::Function &)) {
+  return {Name, [Fn](sir::Module &M, analysis::AnalysisManager &AM,
+                     PassState &) { return eachFunction(M, AM, Fn); }};
+}
+
 /// The legacy step 0: machine-independent cleanup to a (capped)
 /// fixpoint, gated on RunOptimizations.
-class OptPass : public ModulePass {
-public:
-  std::string name() const override { return "opt"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
-    State.Opt = opt::optimizeModule(M);
-    LastChanges = State.Opt.total();
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    // renumber() is idempotent on an unmutated module, so a changeless
-    // optimizer run leaves cached analyses intact.
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
-
-/// One individual optimization as a FunctionPass.
-class SingleOptPass : public FunctionPass {
-public:
-  SingleOptPass(const char *Name, unsigned (*Fn)(sir::Function &))
-      : Name(Name), Fn(Fn) {}
-
-  std::string name() const override { return Name; }
-  unsigned runOnFunction(sir::Function &F,
-                         analysis::AnalysisManager &) override {
-    return Fn(F);
-  }
-
-private:
-  const char *Name;
-  unsigned (*Fn)(sir::Function &);
-};
+unsigned runOpt(sir::Module &M, analysis::AnalysisManager &,
+                PassState &State) {
+  if (!configOf(State).RunOptimizations)
+    return 0;
+  State.Opt = opt::optimizeModule(M);
+  return State.Opt.total();
+}
 
 /// The legacy step 1: profile the (not yet partitioned) module on the
 /// training input. A non-deterministic failure is fatal -- there is
 /// nothing meaningful to compile against; a deterministic trap leaves
 /// a valid prefix profile (the compiled program must reproduce the
 /// trap, which compileAndMeasure checks).
-class ProfilePass : public ModulePass {
-public:
-  std::string name() const override { return "profile"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    vm::VM::Options Opts;
-    Opts.CollectProfile = true;
-    vm::VM Trainer(M, Opts);
-    auto Result = Trainer.run(configOf(State).TrainArgs);
-    if (!Result.Ok && !vm::isDeterministicTrap(Result.Trap.Kind)) {
-      State.Errors.push_back("training run failed: " + Result.Error);
-      State.Fatal = true;
-      return 0;
-    }
-    State.Profile = Trainer.profile();
-    State.HaveProfile = true;
+unsigned runProfile(sir::Module &M, analysis::AnalysisManager &,
+                    PassState &State) {
+  vm::VM::Options Opts;
+  Opts.CollectProfile = true;
+  vm::VM Trainer(M, Opts);
+  auto Result = Trainer.run(configOf(State).TrainArgs);
+  if (!Result.Ok && !vm::isDeterministicTrap(Result.Trap.Kind)) {
+    State.Errors.push_back("training run failed: " + Result.Error);
+    State.Fatal = true;
     return 0;
   }
+  State.Profile = Trainer.profile();
+  State.HaveProfile = true;
+  return 0;
+}
 
-  analysis::PreservedAnalyses preserved() const override {
-    return analysis::PreservedAnalyses::all();
-  }
-};
+/// The legacy step 2: partitioning with scheme \p S ("partition" passes
+/// Config.Scheme, where None is a no-op; "partition-basic" and
+/// "partition-advanced" force a scheme). The basic scheme mutates
+/// without inserting instructions (it only flips FPa bits), so the
+/// change count adds rewritten functions to the inserted copy / dup
+/// traffic.
+unsigned runPartition(partition::Scheme S, sir::Module &M,
+                      analysis::AnalysisManager &AM, PassState &State) {
+  State.Rewrite = partition::partitionModule(
+      M, S, State.HaveProfile ? &State.Profile : nullptr,
+      configOf(State).Costs, &AM);
+  State.RanScheme = S;
+  for (const std::string &E : State.Rewrite.Errors)
+    State.Errors.push_back("partition: " + E);
+  return static_cast<unsigned>(State.Rewrite.Reports.size()) +
+         State.Rewrite.StaticCopies + State.Rewrite.StaticDups +
+         State.Rewrite.StaticCopyBacks;
+}
 
-/// The legacy step 2: partitioning. "partition" dispatches on
-/// Config.Scheme (including None: no-op); "partition-basic" /
-/// "partition-advanced" force a scheme regardless of configuration.
-class PartitionPass : public ModulePass {
-public:
-  enum class Mode { FromConfig, Basic, Advanced };
-
-  explicit PartitionPass(Mode Which) : Which(Which) {}
-
-  std::string name() const override {
-    switch (Which) {
-    case Mode::FromConfig:
-      return "partition";
-    case Mode::Basic:
-      return "partition-basic";
-    case Mode::Advanced:
-      return "partition-advanced";
-    }
-    return "partition";
-  }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    const PipelineConfig &Config = configOf(State);
-    partition::Scheme S = Which == Mode::FromConfig ? Config.Scheme
-                          : Which == Mode::Basic
-                              ? partition::Scheme::Basic
-                              : partition::Scheme::Advanced;
-    State.Rewrite = partition::partitionModule(
-        M, S, State.HaveProfile ? &State.Profile : nullptr, Config.Costs,
-        &AM);
-    State.RanScheme = S;
-    for (const std::string &E : State.Rewrite.Errors)
-      State.Errors.push_back("partition: " + E);
-    Mutated = !State.Rewrite.Reports.empty();
-    // The basic scheme mutates without inserting instructions (it only
-    // flips FPa bits), so count rewritten functions alongside the
-    // inserted copy / dup traffic.
-    return static_cast<unsigned>(State.Rewrite.Reports.size()) +
-           State.Rewrite.StaticCopies + State.Rewrite.StaticDups +
-           State.Rewrite.StaticCopyBacks;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-
-private:
-  Mode Which;
-  bool Mutated = false;
-};
+Pass partitionWith(const char *Name, partition::Scheme S) {
+  return {Name, [S](sir::Module &M, analysis::AnalysisManager &AM,
+                    PassState &State) {
+            return runPartition(S, M, AM, State);
+          }};
+}
 
 /// The legacy step 2b: Section 6.6 interprocedural extension, gated on
 /// EnableFpArgPassing and on the advanced scheme actually having run
 /// (its rewrite report is what identifies the removable copies).
-class FpArgPassingPass : public ModulePass {
-public:
-  std::string name() const override { return "fp-arg-passing"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).EnableFpArgPassing ||
-        State.RanScheme != partition::Scheme::Advanced)
-      return 0;
-    State.FpArgs = partition::passArgsInFpRegisters(M, State.Rewrite);
-    LastChanges = State.FpArgs.ArgsConverted +
-                  State.FpArgs.EntryCopiesRemoved +
-                  State.FpArgs.CopyBacksRemoved;
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
+unsigned runFpArgPassing(sir::Module &M, analysis::AnalysisManager &,
+                         PassState &State) {
+  if (!configOf(State).EnableFpArgPassing ||
+      State.RanScheme != partition::Scheme::Advanced)
+    return 0;
+  State.FpArgs = partition::passArgsInFpRegisters(M, State.Rewrite);
+  return State.FpArgs.ArgsConverted + State.FpArgs.EntryCopiesRemoved +
+         State.FpArgs.CopyBacksRemoved;
+}
 
 /// The legacy step 3: register allocation, gated on
-/// RunRegisterAllocation. The "regalloc" spelling dispatches on
-/// Config.RegAllocator (empty = the incumbent backend); the
-/// "regalloc-linear" spelling forces the linear-scan backend
-/// regardless of the config, mirroring partition-basic/-advanced.
-class RegAllocPass : public ModulePass {
-public:
-  RegAllocPass() = default;
-  explicit RegAllocPass(std::string Forced) : Forced(std::move(Forced)) {}
+/// RunRegisterAllocation, with backend \p Forced ("" dispatches on
+/// Config.RegAllocator). Calling-convention lowering rewrites every
+/// function, so each allocated function counts as a change.
+unsigned runRegAlloc(const std::string &Forced, sir::Module &M,
+                     analysis::AnalysisManager &AM, PassState &State) {
+  const PipelineConfig &Config = configOf(State);
+  if (!Config.RunRegisterAllocation)
+    return 0;
+  State.Alloc = regalloc::allocateModuleWith(
+      Forced.empty() ? Config.RegAllocator : Forced, M, &AM);
+  for (const std::string &E : State.Alloc.Errors)
+    State.Errors.push_back("regalloc: " + E);
+  unsigned Changes = static_cast<unsigned>(State.Alloc.Funcs.size());
+  for (const auto &KV : State.Alloc.Funcs)
+    Changes += KV.second.SpillCode;
+  return Changes;
+}
 
-  std::string name() const override {
-    return Forced.empty() ? "regalloc" : Forced;
-  }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    Ran = false;
-    if (!configOf(State).RunRegisterAllocation)
-      return 0;
-    Ran = true;
-    const std::string &Backend =
-        Forced.empty() ? configOf(State).RegAllocator : Forced;
-    State.Alloc = regalloc::allocateModuleWith(Backend, M, &AM);
-    for (const std::string &E : State.Alloc.Errors)
-      State.Errors.push_back("regalloc: " + E);
-    unsigned Changes = static_cast<unsigned>(State.Alloc.Funcs.size());
-    for (const auto &KV : State.Alloc.Funcs)
-      Changes += KV.second.SpillCode;
-    return Changes;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    // Calling-convention lowering rewrites every function even when no
-    // spill code lands, so a run is never analysis-preserving.
-    return Ran ? analysis::PreservedAnalyses::none()
-               : analysis::PreservedAnalyses::all();
-  }
-
-private:
-  std::string Forced; ///< Empty: dispatch on Config.RegAllocator.
-  bool Ran = false;
-};
+Pass regallocWith(const char *Name, const char *Forced) {
+  return {Name, [Forced](sir::Module &M, analysis::AnalysisManager &AM,
+                         PassState &State) {
+            return runRegAlloc(Forced, M, AM, State);
+          }};
+}
 
 //===----------------------------------------------------------------------===//
 // Mid-end transform passes (src/transform). All gate on
 // RunOptimizations like "opt", so the -noopt oracle variants and the
-// default pipeline are unaffected by their registration.
+// default pipeline are unaffected by their presence.
 //===----------------------------------------------------------------------===//
 
 /// Dominator-ordered global value numbering.
-class GvnPass : public ModulePass {
-public:
-  std::string name() const override { return "gvn"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
-    for (const auto &F : M.functions()) {
-      unsigned Changes = transform::runGVN(*F, AM);
-      if (Changes)
-        AM.invalidateFunction(*F);
-      LastChanges += Changes;
-    }
-    if (LastChanges)
-      M.renumber();
-    State.Transform.GvnReplaced += LastChanges;
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
+unsigned runGvn(sir::Module &M, analysis::AnalysisManager &AM,
+                PassState &State) {
+  if (!configOf(State).RunOptimizations)
+    return 0;
+  unsigned Changes = eachFunction(
+      M, AM, [&AM](sir::Function &F) { return transform::runGVN(F, AM); });
+  State.Transform.GvnReplaced += Changes;
+  return Changes;
+}
 
 /// Loop-invariant code motion into preheaders.
-class LicmPass : public ModulePass {
-public:
-  std::string name() const override { return "licm"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
-    for (const auto &F : M.functions())
-      LastChanges += transform::runLICM(*F, AM);
-    if (LastChanges)
-      M.renumber();
-    State.Transform.LicmHoisted += LastChanges;
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
+unsigned runLicm(sir::Module &M, analysis::AnalysisManager &AM,
+                 PassState &State) {
+  if (!configOf(State).RunOptimizations)
+    return 0;
+  unsigned Changes = 0;
+  for (const auto &F : M.functions())
+    Changes += transform::runLICM(*F, AM);
+  if (Changes)
+    M.renumber();
+  State.Transform.LicmHoisted += Changes;
+  return Changes;
+}
 
 /// Loop unrolling; Factor 0 is full-unroll only ("unroll"), Factor N
 /// is the "unroll<N>" spelling with partial unrolling by N.
-class UnrollPass : public ModulePass {
-public:
-  explicit UnrollPass(unsigned Factor) : Factor(Factor) {}
-
-  std::string name() const override {
-    return Factor ? "unroll<" + std::to_string(Factor) + ">" : "unroll";
-  }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
-    transform::UnrollOptions Opts;
-    Opts.Factor = Factor;
-    for (const auto &F : M.functions()) {
-      transform::UnrollResult R = transform::runUnroll(*F, AM, Opts);
-      State.Transform.LoopsFullyUnrolled += R.FullyUnrolled;
-      State.Transform.LoopsPartiallyUnrolled += R.PartiallyUnrolled;
-      State.Transform.UnrollInstrsAdded += R.InstrsAdded;
-      LastChanges += R.FullyUnrolled + R.PartiallyUnrolled;
-    }
-    if (LastChanges)
-      M.renumber();
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned Factor;
-  unsigned LastChanges = 0;
-};
+Pass unrollBy(unsigned Factor) {
+  std::string Name =
+      Factor ? "unroll<" + std::to_string(Factor) + ">" : "unroll";
+  return {std::move(Name), [Factor](sir::Module &M,
+                                    analysis::AnalysisManager &AM,
+                                    PassState &State) {
+            if (!configOf(State).RunOptimizations)
+              return 0u;
+            transform::UnrollOptions Opts;
+            Opts.Factor = Factor;
+            unsigned Changes = 0;
+            for (const auto &F : M.functions()) {
+              transform::UnrollResult R = transform::runUnroll(*F, AM, Opts);
+              State.Transform.LoopsFullyUnrolled += R.FullyUnrolled;
+              State.Transform.LoopsPartiallyUnrolled += R.PartiallyUnrolled;
+              State.Transform.UnrollInstrsAdded += R.InstrsAdded;
+              Changes += R.FullyUnrolled + R.PartiallyUnrolled;
+            }
+            if (Changes)
+              M.renumber();
+            return Changes;
+          }};
+}
 
 /// Bottom-up acyclic call-graph inlining.
-class InlinePass : public ModulePass {
-public:
-  std::string name() const override { return "inline"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    LastChanges = 0;
-    if (!configOf(State).RunOptimizations)
-      return 0;
-    transform::InlineResult R = transform::runInline(M);
-    State.Transform.CallsInlined += R.CallsInlined;
-    State.Transform.InlineSkippedRecursive += R.SkippedRecursive;
-    State.Transform.InlineSkippedBudget += R.SkippedBudget;
-    LastChanges = R.CallsInlined;
-    return LastChanges;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return LastChanges == 0 ? analysis::PreservedAnalyses::all()
-                            : analysis::PreservedAnalyses::none();
-  }
-
-private:
-  unsigned LastChanges = 0;
-};
+unsigned runInline(sir::Module &M, analysis::AnalysisManager &,
+                   PassState &State) {
+  if (!configOf(State).RunOptimizations)
+    return 0;
+  transform::InlineResult R = transform::runInline(M);
+  State.Transform.CallsInlined += R.CallsInlined;
+  State.Transform.InlineSkippedRecursive += R.SkippedRecursive;
+  State.Transform.InlineSkippedBudget += R.SkippedBudget;
+  return R.CallsInlined;
+}
 
 /// Structural verification as an explicit pipeline stage (the final
 /// compileAndMeasure verify is separate and unconditional).
-class VerifyPass : public ModulePass {
-public:
-  std::string name() const override { return "verify"; }
-
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &State) override {
-    for (const std::string &E : sir::verify(M))
-      State.Errors.push_back("verify: " + E);
-    return 0;
-  }
-
-  analysis::PreservedAnalyses preserved() const override {
-    return analysis::PreservedAnalyses::all();
-  }
-};
-
-std::unique_ptr<ModulePass> makeSingleOpt(const char *Name,
-                                          unsigned (*Fn)(sir::Function &)) {
-  return std::make_unique<FunctionPassAdaptor>(
-      std::make_unique<SingleOptPass>(Name, Fn));
+unsigned runVerify(sir::Module &M, analysis::AnalysisManager &,
+                   PassState &State) {
+  for (const std::string &E : sir::verify(M))
+    State.Errors.push_back("verify: " + E);
+  return 0;
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// FunctionPassAdaptor / FixpointPass.
-//===----------------------------------------------------------------------===//
-
-unsigned FunctionPassAdaptor::run(sir::Module &M,
-                                  analysis::AnalysisManager &AM,
-                                  PassState &) {
-  unsigned Total = 0;
-  for (const auto &F : M.functions()) {
-    unsigned Changes = FP->runOnFunction(*F, AM);
-    if (Changes)
-      AM.invalidateFunction(*F);
-    Total += Changes;
-  }
-  // Downstream stages require renumbered IR; renumbering an unmutated
-  // function is id-stable, so cached analyses of untouched functions
-  // survive it.
-  if (Total)
-    M.renumber();
-  Mutated = Total != 0;
-  return Total;
-}
-
-std::string FixpointPass::name() const {
+/// Repeats \p Body until a full iteration makes no changes, or
+/// MaxFixpointIterations cut it off. Inner boundaries invalidate like
+/// outer ones; the per-pass telemetry row covers the whole fixpoint.
+Pass fixpoint(std::vector<Pass> Body) {
   std::string Name = "fixpoint(";
-  for (size_t I = 0; I < Passes.size(); ++I) {
+  for (size_t I = 0; I < Body.size(); ++I) {
     if (I)
-      Name += ",";
-    Name += Passes[I]->name();
+      Name += ',';
+    Name += Body[I].Name;
   }
-  Name += ")";
-  return Name;
+  Name += ')';
+  return {std::move(Name), [Body = std::move(Body)](
+                               sir::Module &M, analysis::AnalysisManager &AM,
+                               PassState &State) {
+            unsigned Total = 0;
+            for (unsigned Round = 0; Round < MaxFixpointIterations; ++Round) {
+              unsigned RoundChanges = 0;
+              for (const Pass &P : Body) {
+                RoundChanges += runAndInvalidate(P, M, AM, State);
+                if (State.Fatal)
+                  return Total + RoundChanges;
+              }
+              Total += RoundChanges;
+              if (!RoundChanges)
+                break;
+            }
+            return Total;
+          }};
 }
 
-unsigned FixpointPass::run(sir::Module &M, analysis::AnalysisManager &AM,
-                           PassState &State) {
-  unsigned Total = 0;
-  Iterations = 0;
-  Converged = false;
-  Mutated = false;
-  while (Iterations < MaxIterations) {
-    unsigned RoundChanges = 0;
-    for (const auto &P : Passes) {
-      RoundChanges += P->run(M, AM, State);
-      // Inner boundaries invalidate like outer ones; the per-pass
-      // telemetry row covers the whole fixpoint.
-      AM.invalidate(P->preserved());
-      if (State.Fatal) {
-        Total += RoundChanges;
-        Mutated = Mutated || Total != 0;
-        return Total;
-      }
-    }
-    ++Iterations;
-    Total += RoundChanges;
-    if (!RoundChanges) {
-      Converged = true;
-      break;
-    }
-    Mutated = true;
-  }
-  return Total;
-}
-
-//===----------------------------------------------------------------------===//
-// PassRegistry.
-//===----------------------------------------------------------------------===//
-
-PassRegistry &PassRegistry::global() {
-  static PassRegistry *R = [] {
-    auto *Reg = new PassRegistry();
-    Reg->registerPass("opt", [] { return std::make_unique<OptPass>(); });
-    Reg->registerPass("copy-prop", [] {
-      return makeSingleOpt("copy-prop", opt::propagateCopies);
-    });
-    Reg->registerPass("const-fold", [] {
-      return makeSingleOpt("const-fold", opt::foldConstants);
-    });
-    Reg->registerPass("cse", [] {
-      return makeSingleOpt("cse", opt::eliminateCommonSubexpressions);
-    });
-    Reg->registerPass("dce", [] {
-      return makeSingleOpt("dce", opt::eliminateDeadCode);
-    });
-    Reg->registerPass("gvn", [] { return std::make_unique<GvnPass>(); });
-    Reg->registerPass("licm", [] { return std::make_unique<LicmPass>(); });
-    Reg->registerPass("unroll",
-                      [] { return std::make_unique<UnrollPass>(0); });
-    Reg->registerPass("inline",
-                      [] { return std::make_unique<InlinePass>(); });
-    Reg->registerPass("profile",
-                      [] { return std::make_unique<ProfilePass>(); });
-    Reg->registerPass("partition", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::FromConfig);
-    });
-    Reg->registerPass("partition-basic", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::Basic);
-    });
-    Reg->registerPass("partition-advanced", [] {
-      return std::make_unique<PartitionPass>(PartitionPass::Mode::Advanced);
-    });
-    Reg->registerPass("fp-arg-passing",
-                      [] { return std::make_unique<FpArgPassingPass>(); });
-    Reg->registerPass("regalloc",
-                      [] { return std::make_unique<RegAllocPass>(); });
-    Reg->registerPass("regalloc-linear", [] {
-      return std::make_unique<RegAllocPass>("regalloc-linear");
-    });
-    Reg->registerPass("verify",
-                      [] { return std::make_unique<VerifyPass>(); });
-    return Reg;
+std::map<std::string, Pass> &passTable() {
+  static std::map<std::string, Pass> Table = [] {
+    std::map<std::string, Pass> T;
+    for (Pass &P : std::vector<Pass>{
+             {"opt", runOpt},
+             singleOpt("copy-prop", opt::propagateCopies),
+             singleOpt("const-fold", opt::foldConstants),
+             singleOpt("cse", opt::eliminateCommonSubexpressions),
+             singleOpt("dce", opt::eliminateDeadCode),
+             {"gvn", runGvn},
+             {"licm", runLicm},
+             unrollBy(0),
+             {"inline", runInline},
+             {"profile", runProfile},
+             {"partition",
+              [](sir::Module &M, analysis::AnalysisManager &AM,
+                 PassState &State) {
+                return runPartition(configOf(State).Scheme, M, AM, State);
+              }},
+             partitionWith("partition-basic", partition::Scheme::Basic),
+             partitionWith("partition-advanced",
+                           partition::Scheme::Advanced),
+             {"fp-arg-passing", runFpArgPassing},
+             regallocWith("regalloc", ""),
+             regallocWith("regalloc-linear", "regalloc-linear"),
+             {"verify", runVerify},
+         })
+      T[P.Name] = std::move(P);
+    return T;
   }();
-  return *R;
-}
-
-void PassRegistry::registerPass(const std::string &Name, Factory F) {
-  Factories[Name] = std::move(F);
-}
-
-std::unique_ptr<ModulePass>
-PassRegistry::create(const std::string &Name) const {
-  auto It = Factories.find(Name);
-  return It == Factories.end() ? nullptr : It->second();
-}
-
-bool PassRegistry::contains(const std::string &Name) const {
-  return Factories.count(Name) != 0;
-}
-
-std::vector<std::string> PassRegistry::names() const {
-  std::vector<std::string> Names;
-  for (const auto &KV : Factories)
-    Names.push_back(KV.first);
-  return Names;
+  return Table;
 }
 
 //===----------------------------------------------------------------------===//
 // Pipeline text.
 //===----------------------------------------------------------------------===//
 
-namespace {
+bool isSpace(char C) { return C == ' ' || C == '\t' || C == '\n' || C == '\r'; }
 
-std::string trim(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t\n\r");
-  if (B == std::string::npos)
-    return "";
-  size_t E = S.find_last_not_of(" \t\n\r");
-  return S.substr(B, E - B + 1);
+std::string trim(const std::string &S, size_t B, size_t E) {
+  while (B < E && isSpace(S[B]))
+    ++B;
+  while (E > B && isSpace(S[E - 1]))
+    --E;
+  return S.substr(B, E - B);
 }
 
-/// Splits \p Text on top-level commas (commas inside parentheses stay
-/// with their token). Returns false on unbalanced parentheses.
-bool splitTopLevel(const std::string &Text, std::vector<std::string> &Out,
-                   std::string &Error) {
-  int Depth = 0;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == '(')
-      ++Depth;
-    else if (C == ')') {
-      if (--Depth < 0) {
-        Error = "unbalanced ')' in pipeline text";
-        return false;
+/// Resolves one complete pass token and appends the pass(es) it names.
+bool appendPass(const std::string &Tok, std::vector<Pass> &Out,
+                std::string &Error) {
+  if (Tok == "opt2")
+    // Preset: expands in place, so "--passes=opt2" works everywhere
+    // plain pipeline text does.
+    return parsePipeline(opt2PipelineText(), Out, Error);
+  const std::string UnrollHead = "unroll<";
+  if (Tok.rfind(UnrollHead, 0) == 0 && Tok.back() == '>') {
+    const std::string Num =
+        Tok.substr(UnrollHead.size(), Tok.size() - UnrollHead.size() - 1);
+    unsigned Factor = 0;
+    bool Valid = !Num.empty() && Num.size() <= 2;
+    for (char C : Num) {
+      if (C < '0' || C > '9') {
+        Valid = false;
+        break;
       }
+      Factor = Factor * 10 + static_cast<unsigned>(C - '0');
     }
-    if (C == ',' && Depth == 0) {
-      Out.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += C;
-    }
-  }
-  if (Depth != 0) {
-    Error = "unbalanced '(' in pipeline text";
-    return false;
-  }
-  Out.push_back(Cur);
-  return true;
-}
-
-bool parseInto(const std::string &Text,
-               std::vector<std::unique_ptr<ModulePass>> &Out,
-               std::string &Error, const PassRegistry &Registry) {
-  std::vector<std::string> Tokens;
-  if (!splitTopLevel(Text, Tokens, Error))
-    return false;
-  for (const std::string &Raw : Tokens) {
-    std::string Tok = trim(Raw);
-    if (Tok.empty()) {
-      Error = "empty pass name in pipeline text '" + Text + "'";
+    if (!Valid || Factor < 2 || Factor > 16) {
+      Error = "invalid unroll factor in '" + Tok + "' (want unroll<2..16>)";
       return false;
     }
-    if (Tok == "opt2") {
-      // Preset: expands in place, so "--passes=opt2" works everywhere
-      // plain pipeline text does.
-      if (!parseInto(core::opt2PipelineText(), Out, Error, Registry))
-        return false;
-      continue;
-    }
-    const std::string UnrollHead = "unroll<";
-    if (Tok.rfind(UnrollHead, 0) == 0 && Tok.back() == '>') {
-      const std::string Num =
-          Tok.substr(UnrollHead.size(), Tok.size() - UnrollHead.size() - 1);
-      unsigned Factor = 0;
-      bool Valid = !Num.empty() && Num.size() <= 2;
-      for (char C : Num) {
-        if (C < '0' || C > '9') {
-          Valid = false;
-          break;
-        }
-        Factor = Factor * 10 + static_cast<unsigned>(C - '0');
-      }
-      if (!Valid || Factor < 2 || Factor > 16) {
-        Error = "invalid unroll factor in '" + Tok + "' (want unroll<2..16>)";
-        return false;
-      }
-      Out.push_back(std::make_unique<UnrollPass>(Factor));
-      continue;
-    }
-    const std::string FixpointHead = "fixpoint(";
-    if (Tok.rfind(FixpointHead, 0) == 0 && Tok.back() == ')') {
-      std::string Inner = Tok.substr(
-          FixpointHead.size(), Tok.size() - FixpointHead.size() - 1);
-      std::vector<std::unique_ptr<ModulePass>> Sub;
-      if (!parseInto(Inner, Sub, Error, Registry))
-        return false;
-      Out.push_back(std::make_unique<FixpointPass>(std::move(Sub)));
-      continue;
-    }
-    std::unique_ptr<ModulePass> P = Registry.create(Tok);
-    if (!P) {
-      Error = "unknown pass '" + Tok + "'";
-      return false;
-    }
-    Out.push_back(std::move(P));
+    Out.push_back(unrollBy(Factor));
+    return true;
   }
+  auto It = passTable().find(Tok);
+  if (It == passTable().end()) {
+    Error = "unknown pass '" + Tok + "'";
+    return false;
+  }
+  Out.push_back(It->second);
   return true;
 }
 
 } // namespace
 
-bool core::parsePipeline(const std::string &Text,
-                         std::vector<std::unique_ptr<ModulePass>> &Out,
-                         std::string &Error, const PassRegistry &Registry) {
-  if (trim(Text).empty()) {
+void core::registerPass(Pass P) { passTable()[P.Name] = std::move(P); }
+
+bool core::parsePipeline(const std::string &Text, std::vector<Pass> &Out,
+                         std::string &Error) {
+  const size_t N = Text.size();
+  if (trim(Text, 0, N).empty()) {
     Error = "empty pipeline text";
     return false;
   }
-  std::vector<std::unique_ptr<ModulePass>> Parsed;
-  if (!parseInto(Text, Parsed, Error, Registry))
+  // The bodies of the open fixpoint( combinators, innermost last, on
+  // top of the top-level sequence. Every character is visited once.
+  std::vector<std::vector<Pass>> Open(1);
+  size_t Built = 0; // Passes and fixpoints so far, at every depth.
+  size_t I = 0;
+  for (;;) {
+    // One element: a pass token, or the head of a fixpoint( body.
+    const size_t B = I;
+    while (I < N && Text[I] != ',' && Text[I] != '(' && Text[I] != ')')
+      ++I;
+    if (I < N && Text[I] == '(') {
+      if (trim(Text, B, I) != "fixpoint" || isSpace(Text[I - 1])) {
+        Error = "unknown combinator '" + trim(Text, B, I + 1) +
+                "' (only fixpoint(...) nests)";
+        return false;
+      }
+      if (Open.size() > MaxPipelineNesting) {
+        Error = "pipeline text nests fixpoint( deeper than " +
+                std::to_string(MaxPipelineNesting) + " levels";
+        return false;
+      }
+      Open.emplace_back();
+      ++I;
+      continue;
+    }
+    const std::string Tok = trim(Text, B, I);
+    if (Tok.empty()) {
+      Error = "empty pass name in pipeline text";
+      return false;
+    }
+    const size_t Before = Open.back().size();
+    if (!appendPass(Tok, Open.back(), Error))
+      return false;
+    Built += Open.back().size() - Before;
+    // Close every body that ends here; only whitespace may follow a
+    // ')' before the next ',' or ')'.
+    while (I < N && Text[I] == ')') {
+      if (Open.size() == 1) {
+        Error = "unbalanced ')' in pipeline text";
+        return false;
+      }
+      Pass P = fixpoint(std::move(Open.back()));
+      Open.pop_back();
+      Open.back().push_back(std::move(P));
+      ++Built;
+      ++I;
+      while (I < N && isSpace(Text[I]))
+        ++I;
+      if (I < N && Text[I] != ',' && Text[I] != ')') {
+        Error = std::string("unexpected '") + Text[I] +
+                "' after ')' in pipeline text";
+        return false;
+      }
+    }
+    if (Built > MaxPipelinePasses) {
+      Error = "pipeline text builds more than " +
+              std::to_string(MaxPipelinePasses) + " passes";
+      return false;
+    }
+    if (I == N)
+      break;
+    ++I; // The ',' before the next element.
+  }
+  if (Open.size() != 1) {
+    Error = "unbalanced '(' in pipeline text";
     return false;
-  for (auto &P : Parsed)
+  }
+  for (Pass &P : Open.front())
     Out.push_back(std::move(P));
   return true;
 }
@@ -674,17 +471,12 @@ PassManager::Options PassManager::Options::fromEnv() {
   return Opts;
 }
 
-bool PassManager::parse(const std::string &Text, std::string &Error,
-                        const PassRegistry &Registry) {
-  return parsePipeline(Text, Passes, Error, Registry);
-}
-
 std::string PassManager::text() const {
   std::string Text;
   for (size_t I = 0; I < Passes.size(); ++I) {
     if (I)
       Text += ",";
-    Text += Passes[I]->name();
+    Text += Passes[I].Name;
   }
   return Text;
 }
@@ -693,21 +485,20 @@ std::vector<PassStat> PassManager::run(sir::Module &M,
                                        analysis::AnalysisManager &AM,
                                        PassState &State) {
   std::vector<PassStat> Stats;
-  for (const auto &P : Passes) {
+  for (const Pass &P : Passes) {
     if (State.Fatal)
       break;
     const analysis::AnalysisManager::Counters Before = AM.counters();
     const auto T0 = std::chrono::steady_clock::now();
-    unsigned Changes = P->run(M, AM, State);
     // The boundary invalidation runs inside the pass's accounting
     // window so the invalidation cost is attributed to the pass that
     // caused it.
-    AM.invalidate(P->preserved());
+    unsigned Changes = runAndInvalidate(P, M, AM, State);
     const auto T1 = std::chrono::steady_clock::now();
     const analysis::AnalysisManager::Counters After = AM.counters();
 
     PassStat S;
-    S.Name = P->name();
+    S.Name = P.Name;
     S.WallMs = std::chrono::duration<double, std::milli>(T1 - T0).count();
     S.Changes = Changes;
     S.AnalysisHits = After.Hits - Before.Hits;

@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A unified pass framework over sir modules, in the shape LLVM-family
-/// compilers use. The compile side of core::compileAndMeasure is
-/// expressed as a sequence of named ModulePasses driven by a
-/// PassManager:
+/// The compile side of core::compileAndMeasure as a sequence of named
+/// passes driven by a PassManager:
 ///
 ///   opt, profile, partition, fp-arg-passing, regalloc
 ///
-/// Every registered stage is available by name (PassRegistry), so the
-/// pipeline is configurable as *pipeline text*: a comma-separated pass
-/// list with a fixpoint(...) combinator, parsed by parsePipeline().
-/// The default text reproduces the historical hard-coded flow exactly
-/// -- each built-in pass internally honors the PipelineConfig gates
-/// (RunOptimizations, Scheme, EnableFpArgPassing,
+/// A pass is a value: a name and a function that runs it over a module
+/// and returns its change count. Every built-in pass sits in one name
+/// table, so the pipeline is configurable as *pipeline text*: a
+/// comma-separated pass list with a fixpoint(...) combinator, parsed by
+/// parsePipeline(). The default text reproduces the historical
+/// hard-coded flow exactly -- each built-in pass internally honors the
+/// PipelineConfig gates (RunOptimizations, Scheme, EnableFpArgPassing,
 /// RunRegisterAllocation), so one text is byte-identical to the legacy
 /// pipeline for every configuration.
 ///
@@ -33,9 +32,9 @@
 ///    stderr after the named pass.
 ///
 /// Analyses (CFG / ReachingDefs / RDG / Liveness / block weights) are
-/// cached in an analysis::AnalysisManager across passes; each pass
-/// reports a PreservedAnalyses set and the manager invalidates
-/// everything else at the boundary.
+/// cached in an analysis::AnalysisManager across passes. One rule
+/// decides invalidation at every boundary: a pass that reports no
+/// change preserves every cached analysis, any change drops them all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +47,6 @@
 #include "vm/VM.h"
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,95 +84,37 @@ struct PassState {
 };
 
 /// One transformation (or diagnostic) stage over a module.
-class ModulePass {
-public:
-  virtual ~ModulePass() = default;
+struct Pass {
+  /// Runs over the module and returns the number of IR changes made
+  /// (0 for analysis-only passes); diagnostics and reports go to the
+  /// PassState.
+  using RunFn = std::function<unsigned(
+      sir::Module &, analysis::AnalysisManager &, PassState &)>;
 
   /// Stable name; for combinators this is the full round-trip text
   /// (e.g. "fixpoint(copy-prop,dce)").
-  virtual std::string name() const = 0;
-
-  /// Runs over \p M. Returns the number of IR changes made (0 for
-  /// analysis-only passes); diagnostics and reports go to \p State.
-  virtual unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-                       PassState &State) = 0;
-
-  /// Analyses left valid by the most recent run(). The default is the
-  /// safe claim for a transformation; passes that only read the module
-  /// override to all(). Queried by the PassManager immediately after
-  /// run().
-  virtual analysis::PreservedAnalyses preserved() const {
-    return analysis::PreservedAnalyses::none();
-  }
+  std::string Name;
+  RunFn Run;
 };
 
-/// One transformation over a single function, lifted to a ModulePass by
-/// FunctionPassAdaptor.
-class FunctionPass {
-public:
-  virtual ~FunctionPass() = default;
-  virtual std::string name() const = 0;
-  /// Returns the number of changes made to \p F.
-  virtual unsigned runOnFunction(sir::Function &F,
-                                 analysis::AnalysisManager &AM) = 0;
-};
+/// A fixpoint(...) repeats its body until a full iteration makes no
+/// changes, or this many iterations have run.
+constexpr unsigned MaxFixpointIterations = 8;
 
-/// Runs a FunctionPass over every function, invalidating each mutated
-/// function's cached analyses and renumbering the module if anything
-/// changed (downstream stages require renumbered IR).
-class FunctionPassAdaptor : public ModulePass {
-public:
-  explicit FunctionPassAdaptor(std::unique_ptr<FunctionPass> FP)
-      : FP(std::move(FP)) {}
+/// The deepest fixpoint(...) nesting pipeline text may use, and the
+/// most passes it may build (counting each fixpoint and each pass an
+/// opt2 expands to); beyond either, the text is a parse error.
+constexpr unsigned MaxPipelineNesting = 16;
+constexpr unsigned MaxPipelinePasses = 1024;
 
-  std::string name() const override { return FP->name(); }
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override;
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-
-private:
-  std::unique_ptr<FunctionPass> FP;
-  bool Mutated = false;
-};
-
-/// Repeats a sub-pipeline until a full iteration makes no changes, or
-/// the iteration cap cuts it off. Round-trips as
-/// "fixpoint(a,b,...)". Convergence telemetry (iterations run, whether
-/// the cap was hit) is folded into the pass's PassStat.
-class FixpointPass : public ModulePass {
-public:
-  static constexpr unsigned MaxIterations = 8;
-
-  explicit FixpointPass(std::vector<std::unique_ptr<ModulePass>> Passes)
-      : Passes(std::move(Passes)) {}
-
-  std::string name() const override;
-  unsigned run(sir::Module &M, analysis::AnalysisManager &AM,
-               PassState &State) override;
-  analysis::PreservedAnalyses preserved() const override {
-    return Mutated ? analysis::PreservedAnalyses::none()
-                   : analysis::PreservedAnalyses::all();
-  }
-
-  unsigned iterations() const { return Iterations; }
-  bool converged() const { return Converged; }
-
-private:
-  std::vector<std::unique_ptr<ModulePass>> Passes;
-  unsigned Iterations = 0;
-  bool Converged = true;
-  bool Mutated = false;
-};
-
-/// Name -> factory map of every available pass. The global() registry
-/// is pre-populated with the built-in stages:
+/// Adds \p P to the name table parsePipeline resolves against,
+/// replacing any pass of the same name. The built-in passes are:
 ///
 ///   opt             gated fixpoint optimizer (opt::optimizeModule)
 ///   copy-prop, const-fold, cse, dce
 ///                   the individual optimizations, ungated
+///   gvn, licm, unroll, inline
+///                   the mid-end transforms (gated)
 ///   profile         training-input profiling run (fatal on failure)
 ///   partition       Config.Scheme-dispatched partitioner (gated)
 ///   partition-basic, partition-advanced
@@ -186,38 +125,21 @@ private:
 ///   regalloc-linear register allocation with the Poletto-Sarkar
 ///                   linear-scan backend, ignoring Config.RegAllocator
 ///   verify          structural verification as a pipeline stage
-///
-/// Tests may registerPass() additional names; re-registering a name
-/// replaces the factory (latest wins).
-class PassRegistry {
-public:
-  using Factory = std::function<std::unique_ptr<ModulePass>()>;
+void registerPass(Pass P);
 
-  static PassRegistry &global();
-
-  void registerPass(const std::string &Name, Factory F);
-  /// Null if \p Name is unknown.
-  std::unique_ptr<ModulePass> create(const std::string &Name) const;
-  bool contains(const std::string &Name) const;
-  std::vector<std::string> names() const;
-
-private:
-  std::map<std::string, Factory> Factories;
-};
-
-/// Parses pipeline text -- comma-separated registered pass names with
-/// optional whitespace and the fixpoint(...) combinator, e.g.
+/// Parses pipeline text -- comma-separated pass names with optional
+/// whitespace, the fixpoint(...) combinator, the opt2 preset and
+/// unroll<N>, e.g.
 ///
 ///   "opt, profile, partition, regalloc"
 ///   "fixpoint(copy-prop,const-fold,cse,dce),profile,partition-basic"
 ///
-/// into pass instances from \p Registry. Returns false and sets
-/// \p Error (mentioning the offending token) on malformed text or an
-/// unknown pass name.
-bool parsePipeline(const std::string &Text,
-                   std::vector<std::unique_ptr<ModulePass>> &Out,
-                   std::string &Error,
-                   const PassRegistry &Registry = PassRegistry::global());
+/// in one left-to-right scan, appending the passes to \p Out. Returns
+/// false and sets \p Error (mentioning the offending token) on
+/// malformed text, an unknown pass name, or text past
+/// MaxPipelineNesting or MaxPipelinePasses.
+bool parsePipeline(const std::string &Text, std::vector<Pass> &Out,
+                   std::string &Error);
 
 /// The pipeline text equivalent to the historical hard-coded compile
 /// flow (each stage self-gates on PipelineConfig, so this one text is
@@ -253,25 +175,25 @@ public:
   PassManager() = default;
   explicit PassManager(Options Opts) : Opts(std::move(Opts)) {}
 
-  void add(std::unique_ptr<ModulePass> P) { Passes.push_back(std::move(P)); }
   /// Parses \p Text into this manager. Existing passes are kept (text
   /// appends). Returns false and sets \p Error on a parse failure.
-  bool parse(const std::string &Text, std::string &Error,
-             const PassRegistry &Registry = PassRegistry::global());
+  bool parse(const std::string &Text, std::string &Error) {
+    return parsePipeline(Text, Passes, Error);
+  }
 
   /// Round-trip text of the current sequence.
   std::string text() const;
 
   /// Runs every pass in order. After each pass: snapshots telemetry,
-  /// invalidates non-preserved analyses, honors VerifyEach /
-  /// PrintAfter, and stops early when State.Fatal is set. Returns one
-  /// PassStat per executed pass.
+  /// invalidates the cached analyses if it changed anything, honors
+  /// VerifyEach / PrintAfter, and stops early when State.Fatal is set.
+  /// Returns one PassStat per executed pass.
   std::vector<PassStat> run(sir::Module &M, analysis::AnalysisManager &AM,
                             PassState &State);
 
 private:
   Options Opts;
-  std::vector<std::unique_ptr<ModulePass>> Passes;
+  std::vector<Pass> Passes;
 };
 
 } // namespace core

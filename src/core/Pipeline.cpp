@@ -117,7 +117,7 @@ timing::SimStats core::simulate(const PipelineRun &Run,
                                 const timing::MachineConfig &Machine) {
   support::fault::inject("simulate");
   assert(Run.ok() && "simulating a failed pipeline run");
-  assert(Run.Config.RunRegisterAllocation &&
+  assert(!Run.Alloc.AllocatorName.empty() &&
          "timing simulation needs register-allocated code");
   // Replay the cached ref-input trace: the dynamic instruction stream
   // depends only on the compiled module and ref args, never on the

@@ -58,10 +58,11 @@ struct PipelineConfig {
   /// Pipeline text overriding the default pass sequence (see
   /// core/PassManager.h). Empty means: use $FPINT_PASSES if set, else
   /// the default text, which reproduces the historical flow exactly.
-  /// A non-empty value becomes part of the run cache key.
+  /// Any text but the implicit default becomes part of the run cache
+  /// key.
   std::string Passes;
   /// Register-allocation backend for the "regalloc" pipeline stage
-  /// (regalloc::AllocatorRegistry name). Empty means the default
+  /// (a regalloc::allocatorNames() entry). Empty means the default
   /// incumbent ("regalloc"); a non-empty value becomes part of the
   /// run cache key so compiled artifacts never alias across
   /// backends. The explicit "regalloc-linear" pipeline token

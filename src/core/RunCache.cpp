@@ -2,6 +2,8 @@
 
 #include "core/RunCache.h"
 
+#include "core/PassManager.h"
+
 #include <cstdio>
 
 using namespace fpint;
@@ -47,12 +49,14 @@ std::string RunCache::runKey(const std::string &ModuleName,
   Key += Config.RunRegisterAllocation ? '1' : '0';
   Key += Config.EnableFpArgPassing ? '1' : '0';
   Key += Config.RunOptimizations ? '1' : '0';
-  // An explicit pipeline override compiles different code, so it must
-  // key separately; the empty default is omitted to keep every
-  // historical key (and the golden run ids derived from it) stable.
-  if (!Config.Passes.empty()) {
+  // A pipeline override compiles different code, so it must key
+  // separately, whether it comes from Config.Passes or $FPINT_PASSES;
+  // the implicit default is omitted to keep every historical key (and
+  // the golden run ids derived from it) stable.
+  const std::string Passes = effectivePipelineText(Config);
+  if (!Config.Passes.empty() || Passes != defaultPipelineText()) {
     Key += '|';
-    Key += Config.Passes;
+    Key += Passes;
   }
   // Same story for a non-default register-allocation backend: it
   // compiles different code, so it must key separately, and the empty

@@ -66,7 +66,8 @@ public:
                             const timing::MachineConfig &Machine);
 
   /// Canonical compile-cache key: every Config field, serialized
-  /// exactly (doubles in hex-float form). Exposed for tests.
+  /// exactly (doubles in hex-float form), plus the pipeline text when
+  /// it is not the implicit default. Exposed for tests.
   static std::string runKey(const std::string &ModuleName,
                             const PipelineConfig &Config);
 

@@ -3,11 +3,21 @@
 #include "partition/CostModel.h"
 
 #include <cassert>
+#include <cmath>
 #include <limits>
 
 using namespace fpint;
 using namespace fpint::partition;
 using analysis::RDG;
+
+std::string partition::checkCostParams(const CostParams &P) {
+  if (!std::isfinite(P.CopyOverhead) || !std::isfinite(P.DupOverhead) ||
+      !(0.0 <= P.DupOverhead && P.DupOverhead < P.CopyOverhead))
+    return "the overheads must be finite with 0 <= o_dupl < o_copy";
+  if (!(0.0 <= P.FpaShareCap && P.FpaShareCap <= 1.0))
+    return "the FPa share cap must lie in [0, 1]";
+  return "";
+}
 
 CostModel::CostModel(const RDG &G, const analysis::BlockWeights &Weights,
                      CostParams Params)

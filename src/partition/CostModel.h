@@ -32,6 +32,7 @@
 #include "analysis/RDG.h"
 #include "partition/Assignment.h"
 
+#include <string>
 #include <vector>
 
 namespace fpint {
@@ -50,6 +51,12 @@ struct CostParams {
   /// extension and reproduces the paper's greedy behaviour.
   double FpaShareCap = 1.0;
 };
+
+/// Why \p P cannot drive the cost model, or "" if it can: finite
+/// overheads with 0 <= o_dupl < o_copy (the paper's condition, which
+/// CostModel asserts), and an FpaShareCap in [0, 1]. Callers taking
+/// parameters from untrusted input check here first.
+std::string checkCostParams(const CostParams &P);
 
 /// Cost-model state for one function's RDG under fixed block weights.
 class CostModel {

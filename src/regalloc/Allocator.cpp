@@ -1,4 +1,4 @@
-//===- regalloc/Allocator.cpp - Backend registry and module driver --------===//
+//===- regalloc/Allocator.cpp - Backend table and module driver -----------===//
 
 #include "regalloc/Allocator.h"
 
@@ -7,40 +7,33 @@
 using namespace fpint;
 using namespace fpint::regalloc;
 
-AllocatorRegistry &AllocatorRegistry::global() {
-  // Pre-populated deterministically (no cross-TU static-init games):
-  // the factories are defined next to each backend implementation.
-  static AllocatorRegistry *R = [] {
-    auto *Reg = new AllocatorRegistry();
-    Reg->registerAllocator("regalloc", createIncumbentAllocator);
-    Reg->registerAllocator("regalloc-linear", createLinearScanAllocator);
-    return Reg;
-  }();
-  return *R;
+namespace {
+
+struct Backend {
+  const char *Name;
+  std::unique_ptr<Allocator> (*Create)();
+};
+
+/// Every backend, sorted by name.
+constexpr Backend Backends[] = {
+    {"regalloc", createIncumbentAllocator},
+    {"regalloc-linear", createLinearScanAllocator},
+};
+
+} // namespace
+
+std::unique_ptr<Allocator> regalloc::createAllocator(const std::string &Name) {
+  for (const Backend &B : Backends)
+    if (Name == B.Name)
+      return B.Create();
+  return nullptr;
 }
 
-void AllocatorRegistry::registerAllocator(const std::string &Name,
-                                          Factory F) {
-  Factories[Name] = std::move(F);
-}
-
-std::unique_ptr<Allocator>
-AllocatorRegistry::create(const std::string &Name) const {
-  auto It = Factories.find(Name);
-  if (It == Factories.end())
-    return nullptr;
-  return It->second();
-}
-
-bool AllocatorRegistry::contains(const std::string &Name) const {
-  return Factories.count(Name) != 0;
-}
-
-std::vector<std::string> AllocatorRegistry::names() const {
-  std::vector<std::string> Out;
-  for (const auto &KV : Factories)
-    Out.push_back(KV.first);
-  return Out;
+std::vector<std::string> regalloc::allocatorNames() {
+  std::vector<std::string> Names;
+  for (const Backend &B : Backends)
+    Names.push_back(B.Name);
+  return Names;
 }
 
 ModuleAlloc regalloc::allocateModuleWith(const std::string &Name,
@@ -48,8 +41,7 @@ ModuleAlloc regalloc::allocateModuleWith(const std::string &Name,
                                          analysis::AnalysisManager *AM) {
   ModuleAlloc Result;
   const std::string &Effective = Name.empty() ? defaultAllocatorName() : Name;
-  std::unique_ptr<Allocator> Alloc =
-      AllocatorRegistry::global().create(Effective);
+  std::unique_ptr<Allocator> Alloc = createAllocator(Effective);
   if (!Alloc) {
     Result.Errors.push_back("unknown register allocator '" + Effective + "'");
     return Result;

@@ -23,7 +23,7 @@
 ///    registers with frame loads/stores, and the function is left
 ///    renumbered with setAllocated(true).
 ///
-/// Backends register by name in the AllocatorRegistry; the incumbent
+/// Backends are listed by name in Allocator.cpp; the incumbent
 /// is "regalloc" (and remains the default), the Poletto-Sarkar
 /// linear-scan backend is "regalloc-linear". Selection flows from
 /// pipeline text / PipelineConfig::RegAllocator (see
@@ -37,8 +37,6 @@
 
 #include "regalloc/RegAlloc.h"
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,7 +52,7 @@ class Allocator {
 public:
   virtual ~Allocator() = default;
 
-  /// Stable registry name ("regalloc", "regalloc-linear", ...).
+  /// Stable backend name ("regalloc", "regalloc-linear").
   virtual const char *name() const = 0;
 
   /// Allocates \p F in place, emplacing its FuncAlloc into
@@ -68,25 +66,12 @@ public:
                              std::string &Error) = 0;
 };
 
-/// Name -> factory map of every available backend. global() is
-/// pre-populated with "regalloc" (the incumbent, also the default)
-/// and "regalloc-linear"; tests may register additional names
-/// (latest wins, like PassRegistry).
-class AllocatorRegistry {
-public:
-  using Factory = std::function<std::unique_ptr<Allocator>()>;
+/// Creates the backend named \p Name: "regalloc" (the incumbent, also
+/// the default) or "regalloc-linear". Null for any other name.
+std::unique_ptr<Allocator> createAllocator(const std::string &Name);
 
-  static AllocatorRegistry &global();
-
-  void registerAllocator(const std::string &Name, Factory F);
-  /// Null if \p Name is unknown.
-  std::unique_ptr<Allocator> create(const std::string &Name) const;
-  bool contains(const std::string &Name) const;
-  std::vector<std::string> names() const;
-
-private:
-  std::map<std::string, Factory> Factories;
-};
+/// Every backend name, sorted.
+std::vector<std::string> allocatorNames();
 
 /// The backend allocateModule dispatches to for an empty name.
 inline const char *defaultAllocatorName() { return "regalloc"; }
@@ -98,9 +83,7 @@ inline const char *defaultAllocatorName() { return "regalloc"; }
 ModuleAlloc allocateModuleWith(const std::string &Name, sir::Module &M,
                                analysis::AnalysisManager *AM = nullptr);
 
-/// Backend factories (defined next to each implementation; wired into
-/// AllocatorRegistry::global() so registration order is
-/// deterministic).
+/// Backend factories, defined next to each implementation.
 std::unique_ptr<Allocator> createIncumbentAllocator();
 std::unique_ptr<Allocator> createLinearScanAllocator();
 

@@ -4,6 +4,7 @@
 
 #include "core/PassManager.h"
 #include "core/RunCache.h"
+#include "partition/CostModel.h"
 #include "regalloc/Allocator.h"
 #include "stats/Report.h"
 
@@ -224,6 +225,9 @@ void parsePipelineObj(Validator &V, const Value &Obj,
       V.getDouble(*Costs, "copy_overhead", Cfg.Costs.CopyOverhead);
       V.getDouble(*Costs, "dup_overhead", Cfg.Costs.DupOverhead);
       V.getDouble(*Costs, "fpa_share_cap", Cfg.Costs.FpaShareCap);
+      if (std::string Why = partition::checkCostParams(Cfg.Costs);
+          !Why.empty())
+        V.fail("bad 'costs': " + Why);
     }
   }
   V.getArgs(Obj, "train_args", Cfg.TrainArgs);
@@ -232,14 +236,14 @@ void parsePipelineObj(Validator &V, const Value &Obj,
   V.getBool(Obj, "enable_fp_arg_passing", Cfg.EnableFpArgPassing);
   V.getBool(Obj, "run_optimizations", Cfg.RunOptimizations);
   if (V.getString(Obj, "passes", Cfg.Passes) && !Cfg.Passes.empty()) {
-    std::vector<std::unique_ptr<core::ModulePass>> Parsed;
+    std::vector<core::Pass> Parsed;
     std::string ParseErr;
     if (!core::parsePipeline(Cfg.Passes, Parsed, ParseErr))
       V.fail("bad 'passes' pipeline text: " + ParseErr);
   }
   if (V.getString(Obj, "regalloc", Cfg.RegAllocator) &&
       !Cfg.RegAllocator.empty() &&
-      !regalloc::AllocatorRegistry::global().contains(Cfg.RegAllocator))
+      !regalloc::createAllocator(Cfg.RegAllocator))
     V.fail("unknown 'regalloc' backend '" + Cfg.RegAllocator + "'");
 }
 

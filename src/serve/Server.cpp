@@ -43,6 +43,10 @@ Value computeBody(const Request &Req) {
 
   if (!Req.Simulate)
     return okBody(Run, nullptr);
+  // Only allocated code maps onto the simulated register files; the
+  // pipeline may skip allocation by flag or by leaving regalloc out.
+  if (Run.Alloc.AllocatorName.empty())
+    return errorBody("bad_request", "simulation requires register allocation");
   try {
     timing::SimStats S = core::simulate(Run, Req.Machine);
     return okBody(Run, &S);
@@ -195,17 +199,6 @@ std::string Server::handleRequest(const std::string &RequestBytes) {
     return respond(Body, "none", "");
   }
 
-  if (Req.Simulate && !Req.Pipeline.RunRegisterAllocation) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++Counts.BadRequests;
-      ++Counts.ErrorBodies;
-    }
-    return respond(errorBody("bad_request",
-                             "simulation requires register allocation"),
-                   "none", "");
-  }
-
   // Content address: module text + full pipeline key + machine key +
   // whether simulation stats are part of the body. Display names are
   // deliberately excluded (and absent from the body).
@@ -243,9 +236,11 @@ std::string Server::handleRequest(const std::string &RequestBytes) {
     ++Counts.Misses;
   }
   auto [Body, Cacheable] = execute(Req);
-  if (Body.strOr("status", "") != "ok") {
+  if (const Value *Error = Body.find("error")) {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Counts.ErrorBodies;
+    if (Error->strOr("kind", "") == "bad_request")
+      ++Counts.BadRequests;
   }
   if (Cacheable) {
     const std::string Text = Body.dump();

@@ -28,7 +28,7 @@
 /// traps, trip counts); the differential oracle checks each one
 /// against the unpartitioned VM. The pipeline-facing passes ("gvn",
 /// "licm", "unroll", "unroll<N>", "inline", and the "opt2" preset) are
-/// registered in core/PassManager.cpp; this library stays independent
+/// rows of the pass table in core/PassManager.cpp; this library stays independent
 /// of core so tests can drive transforms directly.
 ///
 //===----------------------------------------------------------------------===//

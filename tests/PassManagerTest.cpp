@@ -70,7 +70,7 @@ TEST(PipelineText, WhitespaceAndFixpointRoundTrip) {
 }
 
 TEST(PipelineText, RejectsUnknownAndMalformed) {
-  std::vector<std::unique_ptr<ModulePass>> Out;
+  std::vector<Pass> Out;
   std::string Error;
   EXPECT_FALSE(parsePipeline("opt,unheard-of-pass", Out, Error));
   EXPECT_NE(Error.find("unheard-of-pass"), std::string::npos) << Error;
@@ -79,6 +79,47 @@ TEST(PipelineText, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(parsePipeline("opt,,dce", Out, Error));
   EXPECT_FALSE(parsePipeline("fixpoint(dce", Out, Error));
   EXPECT_FALSE(parsePipeline("dce)", Out, Error));
+}
+
+/// \p Depth fixpoint( levels around a single dce.
+std::string nestedFixpoints(unsigned Depth) {
+  std::string Text;
+  for (unsigned I = 0; I < Depth; ++I)
+    Text += "fixpoint(";
+  Text += "dce";
+  Text += std::string(Depth, ')');
+  return Text;
+}
+
+TEST(PipelineText, NestingCapIsExact) {
+  PassManager AtCap;
+  std::string Error;
+  const std::string Deepest = nestedFixpoints(MaxPipelineNesting);
+  ASSERT_TRUE(AtCap.parse(Deepest, Error)) << Error;
+  EXPECT_EQ(AtCap.text(), Deepest);
+
+  PassManager Deeper;
+  EXPECT_FALSE(Deeper.parse(nestedFixpoints(MaxPipelineNesting + 1), Error));
+  EXPECT_NE(Error.find(std::to_string(MaxPipelineNesting)), std::string::npos)
+      << Error;
+}
+
+TEST(PipelineText, PassCapIsExact) {
+  // Each opt2 builds ten passes.
+  std::string Text = "opt2";
+  for (unsigned I = 1; I < MaxPipelinePasses / 10; ++I)
+    Text += ",opt2";
+  for (unsigned I = MaxPipelinePasses / 10 * 10; I < MaxPipelinePasses; ++I)
+    Text += ",dce";
+  PassManager AtCap;
+  std::string Error;
+  ASSERT_TRUE(AtCap.parse(Text, Error)) << Error;
+
+  PassManager Over;
+  EXPECT_FALSE(Over.parse(Text + ",dce", Error));
+  EXPECT_NE(Error.find(std::to_string(MaxPipelinePasses)), std::string::npos)
+      << Error;
+  EXPECT_FALSE(Over.parse("fixpoint(" + Text + ")", Error));
 }
 
 TEST(PipelineText, EffectiveTextPrecedence) {
@@ -102,6 +143,24 @@ TEST(PipelineText, RunCacheKeyStableForDefault) {
   const std::string Custom = RunCache::runKey("w", Config);
   EXPECT_NE(Legacy, Custom);
   EXPECT_NE(Custom.find("profile,partition,regalloc"), std::string::npos);
+}
+
+TEST(PipelineText, RunCacheKeyFollowsEnvOverride) {
+  PipelineConfig Config;
+  const std::string Implicit = RunCache::runKey("w", Config);
+  {
+    // $FPINT_PASSES compiles different code, so it must not share the
+    // implicit default's key.
+    ScopedEnv Env("FPINT_PASSES", "opt,profile,regalloc");
+    const std::string Override = RunCache::runKey("w", Config);
+    EXPECT_NE(Override, Implicit);
+    EXPECT_NE(Override.find("opt,profile,regalloc"), std::string::npos);
+  }
+  {
+    // Naming the default text compiles the default pipeline.
+    ScopedEnv Env("FPINT_PASSES", defaultPipelineText());
+    EXPECT_EQ(RunCache::runKey("w", Config), Implicit);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -317,20 +376,16 @@ TEST(PassPipeline, PerPassTelemetryIsRecorded) {
 /// Deliberately corrupts the module: empties the final block of the
 /// first function, so control falls off the end ("function may fall
 /// off its final block").
-class CorruptingPass : public ModulePass {
-public:
-  std::string name() const override { return "corrupt-for-test"; }
-  unsigned run(sir::Module &M, analysis::AnalysisManager &,
-               PassState &) override {
-    sir::Function &F = **M.functions().begin();
-    F.blocks().back()->instructions().clear();
-    return 1;
-  }
-};
+const Pass CorruptingPass = {
+    "corrupt-for-test",
+    [](sir::Module &M, analysis::AnalysisManager &, PassState &) {
+      sir::Function &F = **M.functions().begin();
+      F.blocks().back()->instructions().clear();
+      return 1u;
+    }};
 
 TEST(VerifyEachPass, AttributesCorruptionToPass) {
-  PassRegistry::global().registerPass(
-      "corrupt-for-test", [] { return std::make_unique<CorruptingPass>(); });
+  registerPass(CorruptingPass);
   auto M = parse(fixtures::MemoryFreeRand);
 
   ScopedEnv Env("FPINT_VERIFY_EACH_PASS", "1");

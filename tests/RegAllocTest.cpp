@@ -518,21 +518,19 @@ entry:
 }
 
 //===----------------------------------------------------------------------===//
-// AllocatorRegistry and backend selection.
+// The backend table and backend selection.
 //===----------------------------------------------------------------------===//
 
 TEST(AllocatorRegistry, BuiltinBackendsAreRegistered) {
-  AllocatorRegistry &R = AllocatorRegistry::global();
-  EXPECT_TRUE(R.contains("regalloc"));
-  EXPECT_TRUE(R.contains("regalloc-linear"));
-  EXPECT_FALSE(R.contains("regalloc-graph-color"));
-  auto Inc = R.create("regalloc");
+  EXPECT_EQ(allocatorNames(),
+            (std::vector<std::string>{"regalloc", "regalloc-linear"}));
+  auto Inc = createAllocator("regalloc");
   ASSERT_NE(Inc, nullptr);
   EXPECT_STREQ(Inc->name(), "regalloc");
-  auto Lin = R.create("regalloc-linear");
+  auto Lin = createAllocator("regalloc-linear");
   ASSERT_NE(Lin, nullptr);
   EXPECT_STREQ(Lin->name(), "regalloc-linear");
-  EXPECT_EQ(R.create("regalloc-graph-color"), nullptr);
+  EXPECT_EQ(createAllocator("regalloc-graph-color"), nullptr);
 }
 
 TEST(AllocatorRegistry, UnknownBackendErrorsCleanly) {

@@ -191,7 +191,7 @@ TEST(ParseRequest, RejectsBadValuesAndMissingModule) {
   EXPECT_FALSE(parseRequest("{\"op\": \"compile\", \"module\": \"m\", "
                             "\"machine\": {\"base\": \"16-way\"}}",
                             Req, Err));
-  // The regalloc backend must name a registered allocator.
+  // The regalloc backend must name a known allocator.
   Err.clear();
   EXPECT_FALSE(parseRequest("{\"op\": \"compile\", \"module\": \"m\", "
                             "\"pipeline\": {\"regalloc\": \"turbo\"}}",
@@ -230,6 +230,26 @@ TEST(ParseRequest, RejectsCacheGeometryTheSimulatorCannotIndex) {
   EXPECT_EQ(Req.Machine.DCache.LineBytes, 64u);
 }
 
+TEST(ParseRequest, RejectsCostsTheCostModelCannotUse) {
+  // Each would abort the compiler on CostModel's o_dupl < o_copy
+  // assert, or leave the FPa share cap meaningless.
+  for (const char *Costs : {"{\"copy_overhead\": 1, \"dup_overhead\": 2}",
+                            "{\"copy_overhead\": 2, \"dup_overhead\": 2}",
+                            "{\"dup_overhead\": -1}",
+                            "{\"copy_overhead\": 1e999}",
+                            "{\"fpa_share_cap\": 1.5}"}) {
+    Request Req;
+    std::string Err;
+    EXPECT_FALSE(parseRequest(
+        std::string("{\"op\": \"compile\", \"module\": \"func main() {}\", "
+                    "\"pipeline\": {\"costs\": ") +
+            Costs + "}}",
+        Req, Err))
+        << Costs;
+    EXPECT_NE(Err.find("costs"), std::string::npos) << Err;
+  }
+}
+
 TEST(ParseRequest, AcceptsFullCompileRequest) {
   Request Req;
   std::string Err;
@@ -238,7 +258,8 @@ TEST(ParseRequest, AcceptsFullCompileRequest) {
       "\"name\": \"demo\", "
       "\"pipeline\": {\"scheme\": \"advanced\", "
       "\"regalloc\": \"regalloc-linear\", "
-      "\"costs\": {\"copy_overhead\": 2.5}, \"ref_args\": [3, 4]}, "
+      "\"costs\": {\"copy_overhead\": 2.5, \"dup_overhead\": 2.0}, "
+      "\"ref_args\": [3, 4]}, "
       "\"machine\": {\"base\": \"8-way\", \"fp_units\": 3}, "
       "\"simulate\": false}",
       Req, Err))
@@ -461,6 +482,53 @@ TEST(ServeTest, DeterministicErrorsAreCachedTransportOnesAreNot) {
   Doc.set("pipeline", std::move(Pipeline));
   Parsed NoRa = parseResponse(S.handleRequest(Doc.dump()));
   EXPECT_EQ(NoRa.ErrorKind, "bad_request");
+}
+
+/// A compile request for IntVectorSum whose pipeline object is
+/// \p PipelineJson.
+std::string requestWithPipeline(const std::string &PipelineJson) {
+  json::Value Doc = json::Value::object();
+  Doc.set("op", "compile");
+  Doc.set("module", fixtures::IntVectorSum);
+  std::string Text = Doc.dump();
+  Text.pop_back(); // The closing '}'.
+  return Text + ", \"pipeline\": " + PipelineJson + "}";
+}
+
+TEST(ServeTest, SimulatingAnUnallocatedPipelineIsBadRequest) {
+  // The flag is on, but the text never allocates: the sandboxed child
+  // and the in-process engine both answer instead of aborting.
+  const std::string Req = requestWithPipeline(
+      "{\"passes\": \"opt,profile,partition\", \"scheme\": \"advanced\"}");
+  for (bool Sandbox : {true, false}) {
+    TempDir Dir(Sandbox ? "server_noalloc_sandboxed" : "server_noalloc");
+    Server S(quickOptions(Dir.Path, Sandbox));
+    Parsed P = parseResponse(S.handleRequest(Req));
+    EXPECT_EQ(P.ErrorKind, "bad_request") << P.Body;
+    EXPECT_NE(P.Body.find("simulation requires register allocation"),
+              std::string::npos)
+        << P.Body;
+    EXPECT_EQ(S.counters().BadRequests, 1u);
+    EXPECT_EQ(S.counters().SandboxDeaths, 0u);
+  }
+}
+
+TEST(ServeTest, DeeplyNestedPipelineTextIsBadRequestAndServerSurvives) {
+  TempDir Dir("server_nested_passes");
+  Server S(quickOptions(Dir.Path, /*Sandbox=*/false));
+  // About 300 KB of fixpoint( -- far past core::MaxPipelineNesting.
+  const unsigned Depth = 300000 / 9;
+  std::string Passes;
+  for (unsigned I = 0; I < Depth; ++I)
+    Passes += "fixpoint(";
+  Passes += "dce" + std::string(Depth, ')');
+  Parsed Bad = parseResponse(
+      S.handleRequest(requestWithPipeline("{\"passes\": \"" + Passes + "\"}")));
+  EXPECT_EQ(Bad.ErrorKind, "bad_request");
+  EXPECT_NE(Bad.Body.find("deeper than"), std::string::npos) << Bad.Body;
+
+  Parsed Ping = parseResponse(S.handleRequest("{\"op\": \"ping\"}"));
+  EXPECT_EQ(Ping.Status, "ok");
 }
 
 TEST(ServeTest, DeeplyNestedRequestIsBadRequestAndServerSurvives) {

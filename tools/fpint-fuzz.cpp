@@ -402,7 +402,7 @@ int main(int argc, char **argv) {
   OracleOpts.CheckTiming = CheckTiming;
   for (const std::string &Text : PassTexts) {
     // Reject malformed text up front instead of once per iteration.
-    std::vector<std::unique_ptr<core::ModulePass>> Parsed;
+    std::vector<core::Pass> Parsed;
     std::string ParseError;
     if (!core::parsePipeline(Text, Parsed, ParseError)) {
       std::fprintf(stderr, "fpint-fuzz: bad --passes: %s\n",

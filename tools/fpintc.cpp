@@ -32,7 +32,9 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -97,6 +99,19 @@ bool parseIntList(const std::string &Text, std::vector<int32_t> &Out) {
   return true;
 }
 
+/// Parses all of \p Text as a finite number.
+bool parseNumber(const char *Text, double &Out) {
+  char *End = nullptr;
+  Out = std::strtod(Text, &End);
+  return End != Text && *End == '\0' && std::isfinite(Out);
+}
+
+int badNumber(const std::string &Arg) {
+  std::fprintf(stderr, "fpintc: bad number in '%s'\n", Arg.c_str());
+  usage();
+  return 2;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -149,19 +164,21 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (const char *V = Value("--ocopy=")) {
-      Costs.CopyOverhead = std::atof(V);
+      if (!parseNumber(V, Costs.CopyOverhead))
+        return badNumber(Arg);
     } else if (const char *V = Value("--odupl=")) {
-      Costs.DupOverhead = std::atof(V);
+      if (!parseNumber(V, Costs.DupOverhead))
+        return badNumber(Arg);
     } else if (const char *V = Value("--fpa-cap=")) {
-      Costs.FpaShareCap = std::atof(V);
+      if (!parseNumber(V, Costs.FpaShareCap))
+        return badNumber(Arg);
     } else if (const char *V = Value("--passes=")) {
       Passes = V;
     } else if (const char *V = Value("--regalloc=")) {
-      if (!regalloc::AllocatorRegistry::global().contains(V)) {
+      if (!regalloc::createAllocator(V)) {
         std::fprintf(stderr, "fpintc: unknown register allocator '%s'", V);
         std::fprintf(stderr, " (known:");
-        for (const std::string &Name :
-             regalloc::AllocatorRegistry::global().names())
+        for (const std::string &Name : regalloc::allocatorNames())
           std::fprintf(stderr, " %s", Name.c_str());
         std::fprintf(stderr, ")\n");
         return 2;
@@ -197,6 +214,11 @@ int main(int argc, char **argv) {
     }
   }
   if (Input.empty()) {
+    usage();
+    return 2;
+  }
+  if (std::string Why = partition::checkCostParams(Costs); !Why.empty()) {
+    std::fprintf(stderr, "fpintc: bad cost parameters: %s\n", Why.c_str());
     usage();
     return 2;
   }
@@ -263,7 +285,7 @@ int main(int argc, char **argv) {
   if (!Passes.empty()) {
     // Validate up front for a friendly diagnostic; compileAndMeasure
     // re-parses the same text.
-    std::vector<std::unique_ptr<core::ModulePass>> Parsed;
+    std::vector<core::Pass> Parsed;
     std::string ParseError;
     if (!core::parsePipeline(Passes, Parsed, ParseError)) {
       std::fprintf(stderr, "fpintc: bad --passes: %s\n", ParseError.c_str());
@@ -347,7 +369,7 @@ int main(int argc, char **argv) {
       std::printf("# trap: %s\n", TR.Trap.message().c_str());
   }
   if (!SimMachine.empty()) {
-    if (!RegAlloc) {
+    if (Run.Alloc.AllocatorName.empty()) {
       std::fprintf(stderr,
                    "fpintc: --simulate requires register allocation\n");
       return 1;

@@ -57,10 +57,11 @@ void BM_AdvancedPartitionModule(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     auto Clone = m88k().M->clone();
+    analysis::AnalysisManager AM;
     State.ResumeTiming();
-    auto RW = partition::partitionModule(*Clone,
-                                         partition::Scheme::Advanced,
-                                         /*ProfileWeights=*/nullptr);
+    auto RW = partition::partitionModule(
+        *Clone, partition::Scheme::Advanced, /*ProfileWeights=*/nullptr,
+        partition::CostParams(), AM);
     benchmark::DoNotOptimize(RW.StaticCopies);
   }
 }
@@ -70,8 +71,9 @@ void BM_RegisterAllocation(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     auto Clone = m88k().M->clone();
+    analysis::AnalysisManager AM;
     State.ResumeTiming();
-    auto Alloc = regalloc::allocateModule(*Clone);
+    auto Alloc = regalloc::allocateModule(*Clone, AM);
     benchmark::DoNotOptimize(Alloc.Funcs.size());
   }
 }

@@ -2,128 +2,60 @@
 
 #include "analysis/AnalysisManager.h"
 
-#include <cassert>
-
 using namespace fpint;
 using namespace fpint::analysis;
 
 const void *AnalysisManager::lookup(const EntryKey &K, const char *Name) {
   auto It = Entries.find(K);
+  Counters &C = ByName[Name];
   if (It == Entries.end()) {
     ++Counts.Misses;
-    ++ByName[Name].Misses;
+    ++C.Misses;
     return nullptr;
   }
   ++Counts.Hits;
-  ++ByName[Name].Hits;
-  recordDep(K);
+  ++C.Hits;
   return It->second.Result.get();
 }
 
-void AnalysisManager::beginCompute(const EntryKey &K) { Active.push_back(K); }
-
-void AnalysisManager::endCompute(const EntryKey &K, const char *Name,
-                                 std::shared_ptr<const void> Result) {
-  assert(!Active.empty() && Active.back() == K && "unbalanced compute stack");
-  Active.pop_back();
-  Entry E;
-  E.Result = std::move(Result);
-  E.Name = Name;
-  Entries.emplace(K, std::move(E));
-  recordDep(K);
-}
-
-void AnalysisManager::recordDep(const EntryKey &K) {
-  if (Active.empty())
-    return;
-  auto It = Entries.find(Active.back());
-  // The consumer is still being computed, so its entry may not exist
-  // yet; dependencies discovered before endCompute are attached then.
-  // In practice nested getResult calls resolve depth-first, so by the
-  // time a dependency is recorded the consumer is always the innermost
-  // in-flight entry and we stash the edge on a side list instead.
-  if (It != Entries.end()) {
-    It->second.Deps.push_back(K);
-    return;
-  }
-  PendingDeps.emplace_back(Active.back(), K);
-}
-
-void AnalysisManager::erase(const EntryKey &K) {
-  auto It = Entries.find(K);
-  if (It == Entries.end())
-    return;
+void AnalysisManager::countInvalidation(const std::string &Name) {
   ++Counts.Invalidations;
-  ++ByName[It->second.Name].Invalidations;
-  Entries.erase(It);
-  // Transitively drop dependents: any entry that recorded K as a dep.
-  std::vector<EntryKey> Dependents;
-  for (const auto &KV : Entries)
-    for (const EntryKey &Dep : KV.second.Deps)
-      if (Dep == K) {
-        Dependents.push_back(KV.first);
-        break;
-      }
-  for (const EntryKey &D : Dependents)
-    erase(D);
+  ++ByName[Name].Invalidations;
 }
 
-void AnalysisManager::invalidate(const PreservedAnalyses &PA) {
-  flushPendingDeps();
-  if (PA.preservesAll())
-    return;
-  std::vector<EntryKey> Doomed;
+void AnalysisManager::invalidate() {
   for (const auto &KV : Entries)
-    if (!PA.isPreserved(KV.first.second))
-      Doomed.push_back(KV.first);
-  for (const EntryKey &K : Doomed)
-    erase(K);
-  if (Weights && !PA.isPreserved(BlockWeightsAnalysis::id())) {
+    countInvalidation(KV.second.Name);
+  Entries.clear();
+  if (Weights) {
     Weights.reset();
     WeightsModule = nullptr;
     WeightsProfile = nullptr;
-    ++Counts.Invalidations;
-    ++ByName[BlockWeightsAnalysis::name()].Invalidations;
+    countInvalidation("block-weights");
   }
 }
 
 void AnalysisManager::invalidateFunction(const sir::Function &F) {
-  flushPendingDeps();
-  std::vector<EntryKey> Doomed;
-  for (const auto &KV : Entries)
-    if (KV.first.first == static_cast<const void *>(&F))
-      Doomed.push_back(KV.first);
-  for (const EntryKey &K : Doomed)
-    erase(K);
-}
-
-void AnalysisManager::clear() {
-  Entries.clear();
-  Active.clear();
-  PendingDeps.clear();
-  Weights.reset();
-  WeightsModule = nullptr;
-  WeightsProfile = nullptr;
-}
-
-void AnalysisManager::flushPendingDeps() {
-  for (const auto &[Consumer, Dep] : PendingDeps) {
-    auto It = Entries.find(Consumer);
-    if (It != Entries.end())
-      It->second.Deps.push_back(Dep);
+  for (auto It = Entries.begin(); It != Entries.end();) {
+    if (It->first.first != static_cast<const void *>(&F)) {
+      ++It;
+      continue;
+    }
+    countInvalidation(It->second.Name);
+    It = Entries.erase(It);
   }
-  PendingDeps.clear();
 }
 
 const BlockWeights &AnalysisManager::blockWeights(const sir::Module &M,
                                                   const vm::Profile *Prof) {
+  Counters &C = ByName["block-weights"];
   if (Weights && WeightsModule == &M && WeightsProfile == Prof) {
     ++Counts.Hits;
-    ++ByName[BlockWeightsAnalysis::name()].Hits;
+    ++C.Hits;
     return *Weights;
   }
   ++Counts.Misses;
-  ++ByName[BlockWeightsAnalysis::name()].Misses;
+  ++C.Misses;
   Weights = std::make_unique<BlockWeights>(M, Prof);
   WeightsModule = &M;
   WeightsProfile = Prof;
@@ -134,19 +66,9 @@ const BlockWeights &AnalysisManager::blockWeights(const sir::Module &M,
 // Concrete analyses.
 //===----------------------------------------------------------------------===//
 
-const AnalysisKey *CFGAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
-}
-
 std::unique_ptr<CFG> CFGAnalysis::run(const sir::Function &F,
                                       AnalysisManager &) {
   return std::make_unique<CFG>(F);
-}
-
-const AnalysisKey *ReachingDefsAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
 }
 
 std::unique_ptr<ReachingDefs>
@@ -155,19 +77,9 @@ ReachingDefsAnalysis::run(const sir::Function &F, AnalysisManager &AM) {
   return std::make_unique<ReachingDefs>(F, Cfg);
 }
 
-const AnalysisKey *RDGAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
-}
-
 std::unique_ptr<RDG> RDGAnalysis::run(const sir::Function &F,
                                       AnalysisManager &AM) {
   const CFG &Cfg = AM.getResult<CFGAnalysis>(F);
   const ReachingDefs &RD = AM.getResult<ReachingDefsAnalysis>(F);
   return std::make_unique<RDG>(F, Cfg, RD);
-}
-
-const AnalysisKey *BlockWeightsAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
 }

@@ -5,34 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A lazily-computed, invalidation-aware cache of program analyses, in
-/// the shape LLVM-family pass managers use. Compilation stages used to
-/// privately rebuild CFG / ReachingDefs / RDG / Liveness for every
-/// function they touched; with the manager, a pass asks for
+/// The one source of every per-function analysis a pass consults: a
+/// lazily-computed cache keyed by (function, analysis). A pass asks for
 ///
 ///   const analysis::CFG &Cfg = AM.getResult<analysis::CFGAnalysis>(F);
 ///
 /// and the result is computed at most once until something invalidates
-/// it. Each analysis type is identified by a unique static key; results
-/// are cached per (function, analysis) pair. The manager records which
-/// analyses an analysis consulted while computing (ReachingDefs pulls
-/// CFG, RDG pulls both), so invalidating a dependency transitively
-/// drops its dependents even if a pass claimed to preserve them.
+/// it. An analysis may consult other analyses of the same function
+/// (ReachingDefs pulls CFG, RDG pulls both); every entry of a function
+/// is always dropped together, so no dependency bookkeeping is needed.
 ///
-/// Invalidation is driven by PreservedAnalyses sets: a pass reports
-/// which analyses its IR mutations left intact, and the pass manager
-/// calls invalidate() with that set after the pass. Hit / miss /
-/// invalidation counters are kept globally and per analysis name; the
-/// pass manager snapshots them around every pass for the per-pass
-/// telemetry table.
+/// Two operations invalidate:
+///   - invalidate() drops everything; the pass manager calls it after
+///     every pass that reported a change;
+///   - invalidateFunction(F) drops F's entries; a pass calls it when it
+///     mutated F mid-run.
+/// Hit / miss / invalidation counters are kept globally and per
+/// analysis name; the pass manager snapshots them around every pass
+/// for the per-pass telemetry table.
 ///
 /// Contract: cached analyses are built over renumbered functions and
-/// hold pointers into the IR, so any pass that mutates a function must
-/// not preserve that function's analyses. Module-level results (block
-/// execution weights) are keyed by the profile they were derived from
-/// and are only invalidated between passes, never by the per-function
-/// invalidateFunction() used inside a running pass -- references
-/// obtained before a loop stay valid across it.
+/// hold pointers into the IR. Module-level results (block execution
+/// weights) are keyed by the profile they were derived from and are
+/// dropped only by invalidate(), never by invalidateFunction() --
+/// references obtained before a loop over functions stay valid across
+/// it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,47 +44,14 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <vector>
 
 namespace fpint {
 namespace analysis {
 
-/// Unique identity of one analysis type (address-of-static idiom).
-struct AnalysisKey {
-  char Tag = 0;
-};
-
-/// The set of analyses a pass left valid. Defaults to "none preserved"
-/// -- the safe claim for any pass that mutates IR.
-class PreservedAnalyses {
-public:
-  static PreservedAnalyses all() {
-    PreservedAnalyses P;
-    P.All = true;
-    return P;
-  }
-  static PreservedAnalyses none() { return PreservedAnalyses(); }
-
-  template <typename A> PreservedAnalyses &preserve() {
-    Ids.insert(A::id());
-    return *this;
-  }
-
-  bool preservesAll() const { return All; }
-  bool isPreserved(const AnalysisKey *Id) const {
-    return All || Ids.count(Id) != 0;
-  }
-
-private:
-  bool All = false;
-  std::set<const AnalysisKey *> Ids;
-};
-
 /// Caches analysis results per function (and per module for block
-/// weights) with dependency-aware invalidation. Not thread-safe: one
-/// manager serves one compilation pipeline.
+/// weights). Not thread-safe: one manager serves one compilation
+/// pipeline.
 class AnalysisManager {
 public:
   struct Counters {
@@ -104,35 +68,28 @@ public:
   /// caching) it on a miss. The reference stays valid until the entry
   /// is invalidated.
   template <typename A> const typename A::Result &getResult(const sir::Function &F) {
-    const EntryKey K{&F, A::id()};
+    static const char Key = 0; // One address per analysis type.
+    const EntryKey K{&F, &Key};
     if (const void *Hit = lookup(K, A::name()))
       return *static_cast<const typename A::Result *>(Hit);
-    beginCompute(K);
-    std::unique_ptr<typename A::Result> R = A::run(F, *this);
-    const typename A::Result *Raw = R.get();
-    endCompute(K, A::name(),
-               std::shared_ptr<const void>(std::move(R)));
-    return *Raw;
+    std::shared_ptr<const typename A::Result> R = A::run(F, *this);
+    Entries.emplace(K, Entry{R, A::name()});
+    return *R;
   }
 
   /// Module-level block execution weights derived from \p Prof (which
-  /// may be null: static estimates everywhere). Cached until an
-  /// invalidation that does not preserve BlockWeightsAnalysis.
+  /// may be null: static estimates everywhere). Cached until the next
+  /// invalidate().
   const BlockWeights &blockWeights(const sir::Module &M,
                                    const vm::Profile *Prof);
 
-  /// Drops every cached entry whose analysis is not in \p PA, plus --
-  /// transitively -- everything that depended on a dropped entry. The
-  /// pass manager calls this after every pass.
-  void invalidate(const PreservedAnalyses &PA);
+  /// Drops every cached entry, block weights included.
+  void invalidate();
 
   /// Drops every per-function entry for \p F (a pass mutated \p F
   /// mid-run). Module-level results are deliberately kept; see the
   /// file comment.
   void invalidateFunction(const sir::Function &F);
-
-  /// Drops everything.
-  void clear();
 
   Counters counters() const { return Counts; }
   /// Per-analysis-name counters, for tests and --time-passes.
@@ -141,32 +98,20 @@ public:
   }
 
 private:
-  using EntryKey = std::pair<const void *, const AnalysisKey *>;
+  /// (function, address of the analysis type's key).
+  using EntryKey = std::pair<const void *, const char *>;
 
   struct Entry {
     std::shared_ptr<const void> Result;
-    std::string Name;
-    /// Entries consulted while computing this one.
-    std::vector<EntryKey> Deps;
+    const char *Name;
   };
 
-  /// Counting lookup; records a dependency edge when called from
-  /// inside another analysis' run().
+  /// Counting lookup: the cached result, or null on a miss.
   const void *lookup(const EntryKey &K, const char *Name);
-  void beginCompute(const EntryKey &K);
-  void endCompute(const EntryKey &K, const char *Name,
-                  std::shared_ptr<const void> Result);
-  void recordDep(const EntryKey &K);
-  /// Attaches dependency edges recorded while their consumer was still
-  /// being computed (see recordDep). Called before any invalidation.
-  void flushPendingDeps();
-  /// Removes \p K and, transitively, every entry that depends on it.
-  void erase(const EntryKey &K);
+  /// Counts the invalidation of one dropped result named \p Name.
+  void countInvalidation(const std::string &Name);
 
   std::map<EntryKey, Entry> Entries;
-  std::vector<EntryKey> Active; ///< Stack of in-flight computations.
-  /// (consumer, dependency) edges awaiting the consumer's endCompute.
-  std::vector<std::pair<EntryKey, EntryKey>> PendingDeps;
   Counters Counts;
   std::map<std::string, Counters> ByName;
 
@@ -183,7 +128,6 @@ private:
 /// analysis::CFG of a renumbered function.
 struct CFGAnalysis {
   using Result = CFG;
-  static const AnalysisKey *id();
   static const char *name() { return "cfg"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      AnalysisManager &AM);
@@ -192,7 +136,6 @@ struct CFGAnalysis {
 /// Reaching definitions (consults CFGAnalysis).
 struct ReachingDefsAnalysis {
   using Result = ReachingDefs;
-  static const AnalysisKey *id();
   static const char *name() { return "reaching-defs"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      AnalysisManager &AM);
@@ -201,18 +144,9 @@ struct ReachingDefsAnalysis {
 /// The register dependence graph (consults CFG + ReachingDefs).
 struct RDGAnalysis {
   using Result = RDG;
-  static const AnalysisKey *id();
   static const char *name() { return "rdg"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      AnalysisManager &AM);
-};
-
-/// Identity of the module-level block-weights result, so passes can
-/// preserve or invalidate it by name like any other analysis.
-struct BlockWeightsAnalysis {
-  using Result = BlockWeights;
-  static const AnalysisKey *id();
-  static const char *name() { return "block-weights"; }
 };
 
 } // namespace analysis

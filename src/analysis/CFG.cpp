@@ -2,8 +2,7 @@
 
 #include "analysis/CFG.h"
 
-#include <algorithm>
-#include <cassert>
+#include <cstdint>
 
 using namespace fpint;
 using namespace fpint::analysis;
@@ -14,7 +13,6 @@ CFG::CFG(const sir::Function &F) : F(F) {
   Succs.resize(N);
   Preds.resize(N);
   Reachable.assign(N, false);
-  LoopDepth.assign(N, 0);
 
   std::vector<BasicBlock *> SuccBlocks;
   for (unsigned B = 0; B < N; ++B) {
@@ -55,12 +53,7 @@ CFG::CFG(const sir::Function &F) : F(F) {
         Rpo.push_back(B);
   }
 
-  RpoNumber.assign(N, 0);
-  for (unsigned Pos = 0; Pos < Rpo.size(); ++Pos)
-    RpoNumber[Rpo[Pos]] = Pos;
-
   computeDominators();
-  computeLoops();
 }
 
 void CFG::computeDominators() {
@@ -69,6 +62,9 @@ void CFG::computeDominators() {
   Idom.assign(N, 0);
   if (N == 0)
     return;
+  std::vector<unsigned> RpoNumber(N, 0);
+  for (unsigned Pos = 0; Pos < Rpo.size(); ++Pos)
+    RpoNumber[Rpo[Pos]] = Pos;
 
   auto Intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
@@ -103,73 +99,5 @@ void CFG::computeDominators() {
         Changed = true;
       }
     }
-  }
-}
-
-bool CFG::dominates(unsigned A, unsigned B) const {
-  if (!Reachable[A] || !Reachable[B])
-    return false;
-  unsigned Cur = B;
-  for (;;) {
-    if (Cur == A)
-      return true;
-    if (Cur == 0)
-      return A == 0;
-    Cur = Idom[Cur];
-  }
-}
-
-bool CFG::isBackEdge(unsigned From, unsigned To) const {
-  return dominates(To, From);
-}
-
-void CFG::computeLoops() {
-  // For each back edge From -> Header, the natural loop body is Header
-  // plus all blocks that reach From without passing through Header.
-  // A block's loop depth counts the distinct headers of loops containing
-  // it (multiple back edges to the same header are one loop).
-  const unsigned N = numBlocks();
-  std::vector<std::vector<bool>> InLoopOf; // per discovered header
-  std::vector<unsigned> HeaderOf;
-
-  for (unsigned B = 0; B < N; ++B) {
-    for (unsigned S : Succs[B]) {
-      if (!isBackEdge(B, S))
-        continue;
-      // Find (or create) this header's membership set.
-      size_t H = 0;
-      for (; H < HeaderOf.size(); ++H)
-        if (HeaderOf[H] == S)
-          break;
-      if (H == HeaderOf.size()) {
-        HeaderOf.push_back(S);
-        Headers.push_back(S);
-        InLoopOf.emplace_back(N, false);
-        InLoopOf[H][S] = true;
-      }
-      // Reverse flood fill from the latch.
-      std::vector<unsigned> Work;
-      if (!InLoopOf[H][B]) {
-        InLoopOf[H][B] = true;
-        Work.push_back(B);
-      }
-      while (!Work.empty()) {
-        unsigned Cur = Work.back();
-        Work.pop_back();
-        for (unsigned P : Preds[Cur]) {
-          if (!Reachable[P] || InLoopOf[H][P])
-            continue;
-          InLoopOf[H][P] = true;
-          Work.push_back(P);
-        }
-      }
-    }
-  }
-
-  for (unsigned B = 0; B < N; ++B) {
-    unsigned Depth = 0;
-    for (const auto &Membership : InLoopOf)
-      Depth += Membership[B];
-    LoopDepth[B] = Depth;
   }
 }

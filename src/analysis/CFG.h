@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-function control-flow analyses: predecessor/successor lists,
-/// reverse post order, iterative dominators, natural-loop detection, and
-/// loop nesting depth. Loop depth feeds the paper's static execution
-/// estimate n_B = p_B * 5^(d_B) used when no profile covers a function.
+/// Per-function control-flow facts: predecessor/successor lists,
+/// reverse post order, reachability, and Cooper-Harvey-Kennedy
+/// immediate dominators. The dominator tree (analysis/Dominators.h) and
+/// the natural loops (analysis/LoopInfo.h) are built on top of these.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,21 +48,8 @@ public:
   /// entry index for unreachable blocks).
   unsigned idom(unsigned Block) const { return Idom[Block]; }
 
-  /// True if \p A dominates \p B (reflexive).
-  bool dominates(unsigned A, unsigned B) const;
-
-  /// True if the edge From -> To is a back edge (To dominates From).
-  bool isBackEdge(unsigned From, unsigned To) const;
-
-  /// Loop nesting depth of \p Block (0 = not in any natural loop).
-  unsigned loopDepth(unsigned Block) const { return LoopDepth[Block]; }
-
-  /// Loop headers discovered (targets of back edges), for tests.
-  const std::vector<unsigned> &loopHeaders() const { return Headers; }
-
 private:
   void computeDominators();
-  void computeLoops();
 
   const sir::Function &F;
   std::vector<std::vector<unsigned>> Succs;
@@ -70,9 +57,6 @@ private:
   std::vector<unsigned> Rpo;
   std::vector<bool> Reachable;
   std::vector<unsigned> Idom;
-  std::vector<unsigned> RpoNumber;
-  std::vector<unsigned> LoopDepth;
-  std::vector<unsigned> Headers;
 };
 
 } // namespace analysis

@@ -1,10 +1,8 @@
-//===- analysis/Dominators.cpp - Dominator tree and frontiers -------------===//
+//===- analysis/Dominators.cpp - Dominator tree ---------------------------===//
 
 #include "analysis/Dominators.h"
 
 #include "analysis/AnalysisManager.h"
-
-#include <algorithm>
 
 using namespace fpint;
 using namespace fpint::analysis;
@@ -14,7 +12,6 @@ DominatorTree::DominatorTree(const sir::Function &F, const CFG &Cfg) {
   const unsigned N = Cfg.numBlocks();
   Idom.assign(N, 0);
   Kids.assign(N, {});
-  Frontier.assign(N, {});
   In.assign(N, 0);
   Out.assign(N, 0);
   Reach.assign(N, false);
@@ -51,34 +48,6 @@ DominatorTree::DominatorTree(const sir::Function &F, const CFG &Cfg) {
       Stack.pop_back();
     }
   }
-
-  // Cooper-Harvey-Kennedy frontiers: for every join block, walk each
-  // predecessor's idom chain up to the join's idom, adding the join to
-  // every frontier passed.
-  for (unsigned B = 0; B < N; ++B) {
-    if (!Reach[B] || Cfg.predecessors(B).size() < 2)
-      continue;
-    for (unsigned P : Cfg.predecessors(B)) {
-      if (!Reach[P])
-        continue;
-      unsigned Runner = P;
-      while (Runner != Idom[B]) {
-        Frontier[Runner].push_back(B);
-        if (Runner == Idom[Runner])
-          break; // Entry: defensive, cannot recur past the root.
-        Runner = Idom[Runner];
-      }
-    }
-  }
-  for (auto &DF : Frontier) {
-    std::sort(DF.begin(), DF.end());
-    DF.erase(std::unique(DF.begin(), DF.end()), DF.end());
-  }
-}
-
-const AnalysisKey *DominatorTreeAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
 }
 
 std::unique_ptr<DominatorTree>

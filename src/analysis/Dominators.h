@@ -1,22 +1,19 @@
-//===- analysis/Dominators.h - Dominator tree and frontiers ---------------===//
+//===- analysis/Dominators.h - Dominator tree -----------------------------===//
 //
 // Part of the fpint project (PLDI 1998 idle-FP-resources reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dominator tree of a function, with dominance frontiers, built on
-/// top of the CFG's Cooper-Harvey-Kennedy immediate dominators. Where
-/// analysis::CFG answers point queries (idom, dominates), this analysis
-/// materializes the tree itself -- children lists, a DFS pre-order with
-/// entry/exit stamps for O(1) dominance queries, and per-block
-/// dominance frontiers -- which is what the dominator-ordered mid-end
-/// transforms (GVN's extended-region walk, LICM's exit-domination
-/// check) traverse.
+/// The dominator tree of a function, built on top of the CFG's
+/// Cooper-Harvey-Kennedy immediate dominators: children lists and a
+/// DFS pre-order with entry/exit stamps for O(1) dominance queries --
+/// what the dominator-ordered mid-end transforms (GVN's extended-region
+/// walk, LICM's exit-domination check), natural-loop discovery and the
+/// static execution estimate's back-edge test traverse.
 ///
-/// Registered in the AnalysisManager as "domtree"; computing it
-/// consults "cfg", so invalidating the CFG transitively drops the tree
-/// (and everything built on it, e.g. "loops").
+/// Fetched through the AnalysisManager as "domtree" (computing it
+/// consults "cfg").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,12 +30,10 @@ namespace fpint {
 namespace analysis {
 
 class AnalysisManager;
-struct AnalysisKey;
 
 /// The dominator tree of one renumbered function. Block identity is the
 /// layout index, like CFG. Unreachable blocks are not part of the tree:
-/// they have no children, appear in no frontier, and are dominated only
-/// by themselves.
+/// they have no children and are dominated only by themselves.
 class DominatorTree {
 public:
   DominatorTree(const sir::Function &F, const CFG &Cfg);
@@ -68,12 +63,6 @@ public:
     return A != B && dominates(A, B);
   }
 
-  /// Dominance frontier of \p Block: the blocks where \p Block's
-  /// dominance stops (Cooper-Harvey-Kennedy walk). Sorted ascending.
-  const std::vector<unsigned> &frontier(unsigned Block) const {
-    return Frontier[Block];
-  }
-
   /// Reachable blocks in dominator-tree DFS pre-order (entry first).
   /// Children are visited in ascending layout order, so the order is
   /// deterministic.
@@ -84,17 +73,14 @@ public:
 private:
   std::vector<unsigned> Idom;
   std::vector<std::vector<unsigned>> Kids;
-  std::vector<std::vector<unsigned>> Frontier;
   std::vector<unsigned> In, Out; ///< DFS interval stamps.
   std::vector<unsigned> Pre;
   std::vector<bool> Reach;
 };
 
-/// AnalysisManager adapter (consults CFGAnalysis, so a dropped "cfg"
-/// transitively drops "domtree").
+/// AnalysisManager adapter (consults CFGAnalysis).
 struct DominatorTreeAnalysis {
   using Result = DominatorTree;
-  static const AnalysisKey *id();
   static const char *name() { return "domtree"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      AnalysisManager &AM);

@@ -2,6 +2,9 @@
 
 #include "analysis/ExecutionEstimate.h"
 
+#include "analysis/Dominators.h"
+#include "analysis/LoopInfo.h"
+
 #include <cmath>
 
 using namespace fpint;
@@ -9,12 +12,15 @@ using namespace fpint::analysis;
 
 std::vector<double> analysis::staticEstimate(const sir::Function &F,
                                              const CFG &Cfg) {
-  (void)F;
   const unsigned N = Cfg.numBlocks();
   std::vector<double> P(N, 0.0);
   if (N == 0)
     return P;
   P[0] = 1.0;
+  const DominatorTree DT(F, Cfg);
+  const LoopInfo LI(F, Cfg, DT);
+  // B -> S is a back edge when its target dominates its source.
+  auto IsBackEdge = [&](unsigned B, unsigned S) { return DT.dominates(S, B); };
 
   // Propagate probabilities along forward edges in reverse post order,
   // splitting evenly at branches (the paper's 50/50 assumption). Back
@@ -25,19 +31,19 @@ std::vector<double> analysis::staticEstimate(const sir::Function &F,
     const auto &Succs = Cfg.successors(B);
     unsigned ForwardSuccs = 0;
     for (unsigned S : Succs)
-      if (!Cfg.isBackEdge(B, S))
+      if (!IsBackEdge(B, S))
         ++ForwardSuccs;
     if (ForwardSuccs == 0)
       continue;
     double Share = P[B] / static_cast<double>(Succs.size());
     for (unsigned S : Succs)
-      if (!Cfg.isBackEdge(B, S))
+      if (!IsBackEdge(B, S))
         P[S] += Share;
   }
 
   std::vector<double> Estimate(N, 0.0);
   for (unsigned B = 0; B < N; ++B)
-    Estimate[B] = P[B] * std::pow(5.0, static_cast<double>(Cfg.loopDepth(B)));
+    Estimate[B] = P[B] * std::pow(5.0, static_cast<double>(LI.depth(B)));
   return Estimate;
 }
 

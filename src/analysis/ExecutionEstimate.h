@@ -28,7 +28,8 @@ namespace analysis {
 
 /// The paper's static estimate: n_B = p_B * 5^(d_B), indexed by block
 /// layout position. p_B propagates from the entry along forward (non
-/// back) edges, splitting evenly at branches.
+/// back) edges, splitting evenly at branches; d_B is LoopInfo's nesting
+/// depth.
 std::vector<double> staticEstimate(const sir::Function &F, const CFG &Cfg);
 
 /// Per-block execution weights for a whole module: profiled functions

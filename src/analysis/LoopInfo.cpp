@@ -118,11 +118,6 @@ LoopInfo::LoopInfo(const sir::Function &F, const CFG &Cfg,
   }
 }
 
-const AnalysisKey *LoopInfoAnalysis::id() {
-  static AnalysisKey Key;
-  return &Key;
-}
-
 std::unique_ptr<LoopInfo> LoopInfoAnalysis::run(const sir::Function &F,
                                                 AnalysisManager &AM) {
   const CFG &Cfg = AM.getResult<CFGAnalysis>(F);

@@ -6,19 +6,22 @@
 ///
 /// \file
 /// Natural loops of a function, discovered from dominator-identified
-/// back edges. For every loop we record the header, the member blocks,
-/// the latches (back-edge sources), the nesting (parent loop and
-/// depth), the preheader when one exists, and the exiting/exit block
-/// sets -- exactly the structure LICM (hoist target + exit domination)
-/// and the unroller (trip counting, latch rewriting) consume.
+/// back edges -- the project's one natural-loop finder. For every loop
+/// we record the header, the member blocks, the latches (back-edge
+/// sources), the nesting (parent loop and depth), the preheader when
+/// one exists, and the exiting/exit block sets -- exactly the structure
+/// LICM (hoist target + exit domination) and the unroller (trip
+/// counting, latch rewriting) consume. The nesting depth is the d_B of
+/// the paper's static estimate n_B = p_B * 5^(d_B)
+/// (analysis/ExecutionEstimate.h).
 ///
 /// Back edges whose source is not dominated by the target (the
 /// irreducible-looking case) do not form a natural loop and are
 /// ignored; multiple back edges into one header merge into a single
 /// loop with several latches.
 ///
-/// Registered as "loops"; computing it consults "cfg" and "domtree",
-/// so invalidating the CFG transitively drops loop info too.
+/// Fetched through the AnalysisManager as "loops" (computing it
+/// consults "cfg" and "domtree").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +39,6 @@ namespace fpint {
 namespace analysis {
 
 class AnalysisManager;
-struct AnalysisKey;
 
 /// One natural loop. Block identity is the layout index.
 struct Loop {
@@ -90,10 +92,9 @@ private:
 };
 
 /// AnalysisManager adapter (consults CFGAnalysis and
-/// DominatorTreeAnalysis; either being dropped drops "loops" too).
+/// DominatorTreeAnalysis).
 struct LoopInfoAnalysis {
   using Result = LoopInfo;
-  static const AnalysisKey *id();
   static const char *name() { return "loops"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      AnalysisManager &AM);

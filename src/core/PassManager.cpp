@@ -32,8 +32,8 @@ const PipelineConfig &configOf(const PassState &State) {
 unsigned runAndInvalidate(const Pass &P, sir::Module &M,
                           analysis::AnalysisManager &AM, PassState &State) {
   unsigned Changes = P.Run(M, AM, State);
-  AM.invalidate(Changes ? analysis::PreservedAnalyses::none()
-                        : analysis::PreservedAnalyses::all());
+  if (Changes)
+    AM.invalidate();
   return Changes;
 }
 
@@ -103,12 +103,24 @@ unsigned runProfile(sir::Module &M, analysis::AnalysisManager &,
 /// "partition-advanced" force a scheme). The basic scheme mutates
 /// without inserting instructions (it only flips FPa bits), so the
 /// change count adds rewritten functions to the inserted copy / dup
-/// traffic.
+/// traffic. The partitioner assumes conventional, unallocated code, so
+/// partitioning a module twice or after register allocation is a
+/// fatal compile error.
 unsigned runPartition(partition::Scheme S, sir::Module &M,
                       analysis::AnalysisManager &AM, PassState &State) {
+  if (S != partition::Scheme::None &&
+      (State.RanScheme != partition::Scheme::None ||
+       !State.Alloc.AllocatorName.empty())) {
+    State.Errors.push_back(
+        std::string("partition: module is already ") +
+        (State.RanScheme != partition::Scheme::None ? "partitioned"
+                                                    : "register-allocated"));
+    State.Fatal = true;
+    return 0;
+  }
   State.Rewrite = partition::partitionModule(
       M, S, State.HaveProfile ? &State.Profile : nullptr,
-      configOf(State).Costs, &AM);
+      configOf(State).Costs, AM);
   State.RanScheme = S;
   for (const std::string &E : State.Rewrite.Errors)
     State.Errors.push_back("partition: " + E);
@@ -147,7 +159,7 @@ unsigned runRegAlloc(const std::string &Forced, sir::Module &M,
   if (!Config.RunRegisterAllocation)
     return 0;
   State.Alloc = regalloc::allocateModuleWith(
-      Forced.empty() ? Config.RegAllocator : Forced, M, &AM);
+      Forced.empty() ? Config.RegAllocator : Forced, M, AM);
   for (const std::string &E : State.Alloc.Errors)
     State.Errors.push_back("regalloc: " + E);
   unsigned Changes = static_cast<unsigned>(State.Alloc.Funcs.size());

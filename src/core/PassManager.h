@@ -34,7 +34,8 @@
 /// Analyses (CFG / ReachingDefs / RDG / Liveness / block weights) are
 /// cached in an analysis::AnalysisManager across passes. One rule
 /// decides invalidation at every boundary: a pass that reports no
-/// change preserves every cached analysis, any change drops them all.
+/// change keeps every cached analysis, any change calls
+/// AM.invalidate().
 ///
 //===----------------------------------------------------------------------===//
 

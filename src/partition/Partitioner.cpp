@@ -3,11 +3,9 @@
 #include "partition/Partitioner.h"
 
 #include "analysis/CFG.h"
-#include "analysis/RDG.h"
 #include "partition/AdvancedPartitioner.h"
 #include "partition/BasicPartitioner.h"
 
-#include <memory>
 #include <unordered_set>
 
 using namespace fpint;
@@ -48,46 +46,23 @@ const char *partition::schemeName(Scheme S) {
 ModuleRewrite partition::partitionModule(sir::Module &M, Scheme S,
                                          const vm::Profile *ProfileWeights,
                                          CostParams Params,
-                                         analysis::AnalysisManager *AM) {
+                                         analysis::AnalysisManager &AM) {
   ModuleRewrite Result;
   if (S == Scheme::None)
     return Result;
   for (const auto &F : M.functions())
-    if (eraseUnreachableBlocks(*F) && AM)
-      AM->invalidateFunction(*F);
+    if (eraseUnreachableBlocks(*F))
+      AM.invalidateFunction(*F);
 
-  // Block weights and per-function graphs come from the analysis
-  // manager when the caller runs under one (the pass pipeline), and
-  // are built locally otherwise (direct library use). renumber() is
-  // idempotent on an unmutated function, so cached analyses keyed on
-  // instruction ids stay valid across it.
-  std::unique_ptr<analysis::BlockWeights> LocalWeights;
-  const analysis::BlockWeights *Weights;
-  if (AM) {
-    Weights = &AM->blockWeights(M, ProfileWeights);
-  } else {
-    LocalWeights =
-        std::make_unique<analysis::BlockWeights>(M, ProfileWeights);
-    Weights = LocalWeights.get();
-  }
-
+  const analysis::BlockWeights &Weights = AM.blockWeights(M, ProfileWeights);
   for (const auto &F : M.functions()) {
+    // renumber() is idempotent on an unmutated function, so cached
+    // analyses keyed on instruction ids stay valid across it.
     F->renumber();
-    std::unique_ptr<analysis::CFG> LocalCfg;
-    std::unique_ptr<analysis::RDG> LocalRdg;
-    const analysis::RDG *GP;
-    if (AM) {
-      GP = &AM->getResult<analysis::RDGAnalysis>(*F);
-    } else {
-      LocalCfg = std::make_unique<analysis::CFG>(*F);
-      LocalRdg = std::make_unique<analysis::RDG>(*F, *LocalCfg);
-      GP = LocalRdg.get();
-    }
-    const analysis::RDG &G = *GP;
-
+    const analysis::RDG &G = AM.getResult<analysis::RDGAnalysis>(*F);
     Assignment A = S == Scheme::Basic
                        ? partitionBasic(G)
-                       : partitionAdvanced(G, *Weights, Params);
+                       : partitionAdvanced(G, Weights, Params);
 
     std::vector<std::string> Errs = validateAssignment(A);
     if (S == Scheme::Basic && !satisfiesBasicConditions(A))
@@ -99,8 +74,7 @@ ModuleRewrite partition::partitionModule(sir::Module &M, Scheme S,
       continue; // Leave this function unpartitioned.
 
     RewriteReport Report = applyAssignment(*F, A);
-    if (AM)
-      AM->invalidateFunction(*F); // The rewrite mutated F's IR.
+    AM.invalidateFunction(*F); // The rewrite mutated F's IR.
     Result.StaticCopies += static_cast<unsigned>(Report.CopyInstrs.size());
     Result.StaticDups += static_cast<unsigned>(Report.DupInstrs.size());
     Result.StaticCopyBacks +=

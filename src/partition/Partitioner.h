@@ -51,14 +51,13 @@ struct ModuleRewrite {
 
 /// Partitions and rewrites \p M in place using \p ProfileWeights for the
 /// advanced cost model (may be null: static estimates). The module must
-/// be renumbered and verify cleanly. When \p AM is non-null the CFG /
-/// ReachingDefs / RDG / BlockWeights analyses are fetched through it
-/// (cache-aware); each rewritten function's entries are invalidated in
-/// place.
+/// be renumbered and verify cleanly. The RDG and block weights are
+/// fetched through \p AM; each rewritten function's entries are
+/// invalidated in place.
 ModuleRewrite partitionModule(sir::Module &M, Scheme S,
                               const vm::Profile *ProfileWeights,
-                              CostParams Params = CostParams(),
-                              analysis::AnalysisManager *AM = nullptr);
+                              CostParams Params,
+                              analysis::AnalysisManager &AM);
 
 /// Dynamic-instruction accounting over a (partitioned) module, computed
 /// from a measurement profile of that same module: every instruction in

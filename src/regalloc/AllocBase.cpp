@@ -2,9 +2,6 @@
 
 #include "regalloc/AllocBase.h"
 
-#include "analysis/CFG.h"
-#include "regalloc/Liveness.h"
-
 #include <algorithm>
 #include <cassert>
 #include <memory>
@@ -101,18 +98,7 @@ void FuncAllocBase::buildIntervals() {
   // miss over the lowered IR (with LiveIntervals pulling CFG and
   // Liveness through the same manager, so the per-pass cache counters
   // attribute every lookup to the running regalloc pass).
-  std::unique_ptr<analysis::CFG> LocalCfg;
-  std::unique_ptr<Liveness> LocalLive;
-  std::unique_ptr<LiveIntervals> LocalLI;
-  const LiveIntervals *LI;
-  if (AM) {
-    LI = &AM->getResult<LiveIntervalsAnalysis>(F);
-  } else {
-    LocalCfg = std::make_unique<analysis::CFG>(F);
-    LocalLive = std::make_unique<Liveness>(F, *LocalCfg);
-    LocalLI = std::make_unique<LiveIntervals>(F, *LocalCfg, *LocalLive);
-    LI = LocalLI.get();
-  }
+  const LiveIntervals &LI = AM.getResult<LiveIntervalsAnalysis>(F);
 
   IsPrecolored.assign(F.numRegs(), false);
   for (const auto &[Key, R] : ArchRegs)
@@ -124,7 +110,7 @@ void FuncAllocBase::buildIntervals() {
   // rewritten to the zero register instead of occupying an interval.
   NeverDefined.assign(F.numRegs(), false);
   for (unsigned R = 1; R < F.numRegs(); ++R) {
-    const LiveIntervals::Range &Rg = LI->range(Reg(R));
+    const LiveIntervals::Range &Rg = LI.range(Reg(R));
     NeverDefined[R] = Rg.Used && !Rg.Defined && !IsPrecolored[R];
   }
 
@@ -132,7 +118,7 @@ void FuncAllocBase::buildIntervals() {
   for (unsigned R = 1; R < F.numRegs(); ++R) {
     if (IsPrecolored[R] || NeverDefined[R])
       continue;
-    const LiveIntervals::Range &Rg = LI->range(Reg(R));
+    const LiveIntervals::Range &Rg = LI.range(Reg(R));
     if (Rg.Start == ~0u)
       continue;
     Intervals.push_back(Interval{Reg(R), F.regClass(Reg(R)), Rg.Start,

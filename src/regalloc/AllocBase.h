@@ -57,7 +57,7 @@ struct Interval {
 class FuncAllocBase {
 public:
   FuncAllocBase(sir::Function &F, ModuleAlloc &Out,
-                analysis::AnalysisManager *AM)
+                analysis::AnalysisManager &AM)
       : F(F), Out(Out), AM(AM) {}
   virtual ~FuncAllocBase() = default;
 
@@ -97,7 +97,7 @@ protected:
 
   sir::Function &F;
   ModuleAlloc &Out;
-  analysis::AnalysisManager *AM; ///< Optional shared analysis cache.
+  analysis::AnalysisManager &AM;
   FuncAlloc Result;
 
   std::vector<Interval> Intervals;  ///< Sorted by (Start, R).

@@ -38,7 +38,7 @@ std::vector<std::string> regalloc::allocatorNames() {
 
 ModuleAlloc regalloc::allocateModuleWith(const std::string &Name,
                                          sir::Module &M,
-                                         analysis::AnalysisManager *AM) {
+                                         analysis::AnalysisManager &AM) {
   ModuleAlloc Result;
   const std::string &Effective = Name.empty() ? defaultAllocatorName() : Name;
   std::unique_ptr<Allocator> Alloc = createAllocator(Effective);
@@ -53,8 +53,7 @@ ModuleAlloc regalloc::allocateModuleWith(const std::string &Name,
     // bracket each function with invalidations: stale entries from
     // earlier passes are dropped going in, and the allocator's own
     // CFG / liveness / live-interval results are dropped going out.
-    if (AM)
-      AM->invalidateFunction(*F);
+    AM.invalidateFunction(*F);
     auto T0 = std::chrono::steady_clock::now();
     bool Ok = Alloc->runOnFunction(*F, Result, AM, Error);
     auto T1 = std::chrono::steady_clock::now();
@@ -64,13 +63,12 @@ ModuleAlloc regalloc::allocateModuleWith(const std::string &Name,
     if (It != Result.Funcs.end())
       It->second.WallMs =
           std::chrono::duration<double, std::milli>(T1 - T0).count();
-    if (AM)
-      AM->invalidateFunction(*F);
+    AM.invalidateFunction(*F);
   }
   return Result;
 }
 
 ModuleAlloc regalloc::allocateModule(sir::Module &M,
-                                     analysis::AnalysisManager *AM) {
+                                     analysis::AnalysisManager &AM) {
   return allocateModuleWith("", M, AM);
 }

@@ -56,13 +56,13 @@ public:
   virtual const char *name() const = 0;
 
   /// Allocates \p F in place, emplacing its FuncAlloc into
-  /// \p Out.Funcs. When \p AM is non-null all analyses (CFG,
-  /// liveness, live intervals) must be fetched through it so cache
-  /// counters attribute the lookups to the running pass. Returns
-  /// false with \p Error set on a contract violation (e.g. too many
-  /// formals); \p F is left untouched in that case.
+  /// \p Out.Funcs. All analyses (CFG, liveness, live intervals) are
+  /// fetched through \p AM so cache counters attribute the lookups to
+  /// the running pass. Returns false with \p Error set on a contract
+  /// violation (e.g. too many formals); \p F is left untouched in that
+  /// case.
   virtual bool runOnFunction(sir::Function &F, ModuleAlloc &Out,
-                             analysis::AnalysisManager *AM,
+                             analysis::AnalysisManager &AM,
                              std::string &Error) = 0;
 };
 
@@ -81,7 +81,7 @@ inline const char *defaultAllocatorName() { return "regalloc"; }
 /// produces a ModuleAlloc carrying only an error. See
 /// regalloc::allocateModule for the AM contract.
 ModuleAlloc allocateModuleWith(const std::string &Name, sir::Module &M,
-                               analysis::AnalysisManager *AM = nullptr);
+                               analysis::AnalysisManager &AM);
 
 /// Backend factories, defined next to each implementation.
 std::unique_ptr<Allocator> createIncumbentAllocator();

@@ -132,7 +132,7 @@ public:
   const char *name() const override { return "regalloc-linear"; }
 
   bool runOnFunction(sir::Function &F, ModuleAlloc &Out,
-                     analysis::AnalysisManager *AM,
+                     analysis::AnalysisManager &AM,
                      std::string &Error) override {
     LinearScanFuncAllocator Alloc(F, Out, AM);
     return Alloc.run(Error);

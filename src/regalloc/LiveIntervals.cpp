@@ -75,11 +75,6 @@ LiveIntervals::LiveIntervals(const sir::Function &F,
   }
 }
 
-const analysis::AnalysisKey *LiveIntervalsAnalysis::id() {
-  static analysis::AnalysisKey Key;
-  return &Key;
-}
-
 std::unique_ptr<LiveIntervals>
 LiveIntervalsAnalysis::run(const sir::Function &F,
                            analysis::AnalysisManager &AM) {

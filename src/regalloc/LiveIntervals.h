@@ -15,9 +15,9 @@
 ///
 /// This is the shared input of every register allocator (see
 /// docs/REGALLOC.md): the incumbent and the linear-scan backend both
-/// consume one LiveIntervals result, either through the
-/// AnalysisManager ("live-intervals", dependency-linked to "cfg" and
-/// "liveness") or built locally when no manager is available.
+/// consume one LiveIntervals result, fetched through the
+/// AnalysisManager as "live-intervals" (computing it consults "cfg" and
+/// "liveness").
 ///
 /// The analysis is allocator-neutral: it covers *every* register id,
 /// including ones an allocator will treat as precolored or
@@ -77,12 +77,10 @@ private:
 };
 
 /// AnalysisManager adapter for LiveIntervals (consults CFGAnalysis and
-/// LivenessAnalysis, so invalidating either transitively drops the
-/// intervals). Lives in regalloc/ for the same layering reason as
+/// LivenessAnalysis). Lives in regalloc/ for the same layering reason as
 /// LivenessAnalysis: the analysis library must not depend upward.
 struct LiveIntervalsAnalysis {
   using Result = LiveIntervals;
-  static const analysis::AnalysisKey *id();
   static const char *name() { return "live-intervals"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      analysis::AnalysisManager &AM);

@@ -8,11 +8,6 @@ using namespace fpint;
 using namespace fpint::regalloc;
 using sir::Reg;
 
-const analysis::AnalysisKey *LivenessAnalysis::id() {
-  static analysis::AnalysisKey Key;
-  return &Key;
-}
-
 std::unique_ptr<Liveness>
 LivenessAnalysis::run(const sir::Function &F, analysis::AnalysisManager &AM) {
   const analysis::CFG &Cfg = AM.getResult<analysis::CFGAnalysis>(F);

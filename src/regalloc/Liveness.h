@@ -53,7 +53,6 @@ private:
 /// concern and the analysis library must not depend upward.
 struct LivenessAnalysis {
   using Result = Liveness;
-  static const analysis::AnalysisKey *id();
   static const char *name() { return "liveness"; }
   static std::unique_ptr<Result> run(const sir::Function &F,
                                      analysis::AnalysisManager &AM);

@@ -122,7 +122,7 @@ public:
   const char *name() const override { return "regalloc"; }
 
   bool runOnFunction(sir::Function &F, ModuleAlloc &Out,
-                     analysis::AnalysisManager *AM,
+                     analysis::AnalysisManager &AM,
                      std::string &Error) override {
     IncumbentFuncAllocator Alloc(F, Out, AM);
     return Alloc.run(Error);

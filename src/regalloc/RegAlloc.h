@@ -105,12 +105,10 @@ struct ModuleAlloc {
 /// (see regalloc/Allocator.h for the pluggable-backend interface and
 /// allocateModuleWith for named selection). The module must verify
 /// cleanly; functions may have at most ArchLayout::NumArgRegs formals.
-/// When \p AM is non-null every analysis (CFG, liveness, live
-/// intervals) is fetched through it; each function's cached analyses
-/// are invalidated around its allocation (the allocator rewrites the
-/// IR).
-ModuleAlloc allocateModule(sir::Module &M,
-                           analysis::AnalysisManager *AM = nullptr);
+/// Every analysis (CFG, liveness, live intervals) is fetched through
+/// \p AM; each function's cached analyses are invalidated around its
+/// allocation (the allocator rewrites the IR).
+ModuleAlloc allocateModule(sir::Module &M, analysis::AnalysisManager &AM);
 
 } // namespace regalloc
 } // namespace fpint

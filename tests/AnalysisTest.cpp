@@ -1,7 +1,9 @@
 //===- tests/AnalysisTest.cpp - CFG, reaching defs, RDG, slices -----------===//
 
 #include "analysis/CFG.h"
+#include "analysis/Dominators.h"
 #include "analysis/ExecutionEstimate.h"
+#include "analysis/LoopInfo.h"
 #include "analysis/RDG.h"
 #include "analysis/ReachingDefs.h"
 #include "sir/Parser.h"
@@ -65,17 +67,20 @@ inner:
   // fallthrough blocks: entry=0, outer=1, inner=2, after-inner=3 (holds
   // the outer latch), after-outer=4 (holds the ret).
   ASSERT_EQ(Cfg.numBlocks(), 5u);
-  EXPECT_EQ(Cfg.loopDepth(0), 0u);
-  EXPECT_EQ(Cfg.loopDepth(1), 1u);
-  EXPECT_EQ(Cfg.loopDepth(2), 2u);
-  EXPECT_EQ(Cfg.loopDepth(3), 1u);
-  EXPECT_EQ(Cfg.loopDepth(4), 0u);
-  EXPECT_TRUE(Cfg.dominates(0, 2));
-  EXPECT_TRUE(Cfg.dominates(1, 2));
-  EXPECT_FALSE(Cfg.dominates(2, 1));
-  EXPECT_TRUE(Cfg.isBackEdge(2, 2));
-  EXPECT_TRUE(Cfg.isBackEdge(3, 1));
-  EXPECT_EQ(Cfg.loopHeaders().size(), 2u);
+  const DominatorTree DT(F, Cfg);
+  const LoopInfo LI(F, Cfg, DT);
+  EXPECT_EQ(LI.depth(0), 0u);
+  EXPECT_EQ(LI.depth(1), 1u);
+  EXPECT_EQ(LI.depth(2), 2u);
+  EXPECT_EQ(LI.depth(3), 1u);
+  EXPECT_EQ(LI.depth(4), 0u);
+  EXPECT_TRUE(DT.dominates(0, 2));
+  EXPECT_TRUE(DT.dominates(1, 2));
+  EXPECT_FALSE(DT.dominates(2, 1));
+  // Back edges 2 -> 2 and 3 -> 1: each target dominates its source.
+  EXPECT_TRUE(DT.dominates(2, 2));
+  EXPECT_TRUE(DT.dominates(1, 3));
+  EXPECT_EQ(LI.loops().size(), 2u);
 }
 
 TEST(CFG, DiamondAndUnreachable) {

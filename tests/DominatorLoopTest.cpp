@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Hand-built CFG fixtures for the mid-end's structural analyses:
-/// immediate dominators, dominance frontiers, and DFS-interval
-/// dominance queries on diamonds and unreachable blocks; natural-loop
-/// discovery (nesting, preheaders, latches, exits) on nested and
-/// multi-latch loops, including the irreducible-looking shape that must
-/// produce no natural loop at all; and the AnalysisManager contract
-/// that dropping "cfg" transitively drops "domtree" and "loops".
+/// immediate dominators and DFS-interval dominance queries on diamonds,
+/// loops and unreachable blocks; natural-loop discovery (nesting,
+/// preheaders, latches, exits) on nested and multi-latch loops,
+/// including the irreducible-looking shape that must produce no
+/// natural loop at all; and the AnalysisManager contract that
+/// invalidate() drops "cfg", "domtree" and "loops" together.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,19 +74,11 @@ join:
   EXPECT_FALSE(DT.dominates(2, 4));
   EXPECT_FALSE(DT.properlyDominates(4, 4));
 
-  // Frontiers: each arm's dominance stops at the join; entry and join
-  // dominate everything below them.
-  EXPECT_EQ(DT.frontier(1), (U{4}));
-  EXPECT_EQ(DT.frontier(2), (U{4}));
-  EXPECT_TRUE(DT.frontier(0).empty());
-  EXPECT_TRUE(DT.frontier(4).empty());
-
   // The unreachable block is outside the tree: self-idom, no children,
-  // empty frontier, dominated by (and dominating) only itself.
+  // dominated by (and dominating) only itself.
   EXPECT_FALSE(DT.isReachable(3));
   EXPECT_EQ(DT.idom(3), 3u);
   EXPECT_TRUE(DT.children(3).empty());
-  EXPECT_TRUE(DT.frontier(3).empty());
   EXPECT_TRUE(DT.dominates(3, 3));
   EXPECT_FALSE(DT.dominates(3, 4));
   EXPECT_FALSE(DT.dominates(0, 3));
@@ -96,7 +88,7 @@ join:
   EXPECT_EQ(DT.preorder()[0], 0u);
 }
 
-TEST(DominatorTree, LoopFrontierContainsHeader) {
+TEST(DominatorTree, SelfLoopHeaderDominatesExit) {
   auto M = parseOrDie(R"(
 func main() {
 entry:
@@ -115,9 +107,6 @@ exit:
   const DominatorTree &DT = AM.getResult<DominatorTreeAnalysis>(F);
   EXPECT_EQ(DT.idom(1), 0u);
   EXPECT_EQ(DT.idom(2), 1u);
-  // The latch's dominance frontier contains its own header (the
-  // back edge re-enters a block the latch does not strictly dominate).
-  EXPECT_EQ(DT.frontier(1), (U{1}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,7 +273,7 @@ exit:
 // AnalysisManager integration
 //===----------------------------------------------------------------------===//
 
-TEST(DominatorLoopAnalyses, DroppingCfgInvalidatesTransitively) {
+TEST(DominatorLoopAnalyses, InvalidateDropsLoopsWithCfg) {
   auto M = parseOrDie(R"(
 func main() {
 entry:
@@ -300,8 +289,7 @@ exit:
   const Function &F = *M->functionByName("main");
   AnalysisManager AM;
 
-  // Computing "loops" computes (and records dependencies on) "domtree"
-  // and "cfg".
+  // Computing "loops" computes "domtree" and "cfg" through the manager.
   AM.getResult<LoopInfoAnalysis>(F);
   auto MissesOf = [&](const char *Name) {
     auto It = AM.countersByAnalysis().find(Name);
@@ -323,12 +311,8 @@ exit:
   EXPECT_EQ(MissesOf("loops"), 1u);
   EXPECT_EQ(MissesOf("domtree"), 1u);
 
-  // Explicitly preserve domtree and loops but NOT cfg: the dependency
-  // edges must drop all three anyway.
-  PreservedAnalyses PA;
-  PA.preserve<DominatorTreeAnalysis>();
-  PA.preserve<LoopInfoAnalysis>();
-  AM.invalidate(PA);
+  // invalidate() drops all three, each counted once.
+  AM.invalidate();
   EXPECT_EQ(InvalidationsOf("cfg"), 1u);
   EXPECT_EQ(InvalidationsOf("domtree"), 1u);
   EXPECT_EQ(InvalidationsOf("loops"), 1u);

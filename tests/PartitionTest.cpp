@@ -47,7 +47,8 @@ std::unique_ptr<Module> partitionAndCheck(const char *Src, Scheme S,
   auto M = Original->clone();
   vm::Profile Prof = profileOf(*M);
 
-  ModuleRewrite RW = partitionModule(*M, S, &Prof);
+  analysis::AnalysisManager AM;
+  ModuleRewrite RW = partitionModule(*M, S, &Prof, CostParams(), AM);
   EXPECT_TRUE(RW.Errors.empty()) << RW.Errors[0];
   auto Verify = verify(*M);
   EXPECT_TRUE(Verify.empty()) << Verify[0] << "\n" << toString(*M);
@@ -350,12 +351,16 @@ TEST(AdvancedScheme, CostParametersGateDuplication) {
   CostParams Cheap;
   Cheap.CopyOverhead = 1.0;
   Cheap.DupOverhead = 0.5;
-  ModuleRewrite RWA = partitionModule(*CloneA, Scheme::Advanced, &ProfA, Cheap);
+  analysis::AnalysisManager AMA;
+  ModuleRewrite RWA =
+      partitionModule(*CloneA, Scheme::Advanced, &ProfA, Cheap, AMA);
   EXPECT_TRUE(RWA.Errors.empty());
 
   auto CloneB = M->clone();
   vm::Profile ProfB = profileOf(*CloneB);
-  ModuleRewrite RWB = partitionModule(*CloneB, Scheme::Advanced, &ProfB);
+  analysis::AnalysisManager AMB;
+  ModuleRewrite RWB =
+      partitionModule(*CloneB, Scheme::Advanced, &ProfB, CostParams(), AMB);
   EXPECT_TRUE(RWB.Errors.empty());
 
   // Both settings partition successfully and produce correct code.
@@ -499,7 +504,8 @@ TEST_P(PartitionProperty, RandomProgramsStayEquivalent) {
   for (Scheme S : {Scheme::Basic, Scheme::Advanced}) {
     auto Clone = Original.clone();
     vm::Profile Prof = profileOf(*Clone);
-    ModuleRewrite RW = partitionModule(*Clone, S, &Prof);
+    analysis::AnalysisManager AM;
+    ModuleRewrite RW = partitionModule(*Clone, S, &Prof, CostParams(), AM);
     ASSERT_TRUE(RW.Errors.empty())
         << schemeName(S) << ": " << RW.Errors[0] << "\n"
         << Src;

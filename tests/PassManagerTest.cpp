@@ -1,8 +1,9 @@
 //===- tests/PassManagerTest.cpp - Pass framework tests -------------------===//
 //
 // Covers the pass-manager pipeline: pipeline-text parsing and
-// round-tripping, analysis-manager caching / preserved-set /
-// dependency invalidation, verify-each-pass attribution, the opt
+// round-tripping, analysis-manager caching and invalidation, the
+// production pipeline's per-pass analysis counters, pipeline misuse
+// as a typed compile error, verify-each-pass attribution, the opt
 // fixpoint cap telemetry, and -- most importantly -- that the default
 // pipeline compiles byte-identical code to the historical hard-coded
 // flow.
@@ -16,12 +17,15 @@
 #include "sir/Parser.h"
 #include "sir/Printer.h"
 #include "vm/VM.h"
+#include "workloads/Workloads.h"
 
 #include "PaperExamples.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace fpint;
 using namespace fpint::core;
@@ -207,7 +211,7 @@ TEST(AnalysisManagerTest, InvalidateFunctionForcesRecompute) {
   EXPECT_EQ(AM.counters().Misses, 2u);
 }
 
-TEST(AnalysisManagerTest, PreservedSetHonored) {
+TEST(AnalysisManagerTest, InvalidateDropsEverything) {
   auto M = parse(fixtures::IntVectorSum);
   M->renumber();
   sir::Function &F = **M->functions().begin();
@@ -215,44 +219,48 @@ TEST(AnalysisManagerTest, PreservedSetHonored) {
   analysis::AnalysisManager AM;
   AM.getResult<analysis::CFGAnalysis>(F);
 
-  // Preserving everything keeps the entry.
-  AM.invalidate(analysis::PreservedAnalyses::all());
+  // Without an invalidation (a pass that made no change) the entry
+  // stays cached.
   AM.getResult<analysis::CFGAnalysis>(F);
   EXPECT_EQ(AM.counters().Hits, 1u);
 
-  // An explicit preserve of CFG keeps it across a none-default set.
-  analysis::PreservedAnalyses KeepCfg;
-  KeepCfg.preserve<analysis::CFGAnalysis>();
-  AM.invalidate(KeepCfg);
-  AM.getResult<analysis::CFGAnalysis>(F);
-  EXPECT_EQ(AM.counters().Hits, 2u);
-
-  // Preserving nothing drops it.
-  AM.invalidate(analysis::PreservedAnalyses::none());
+  // invalidate() drops it: one invalidation, and the next fetch
+  // recomputes.
+  AM.invalidate();
+  EXPECT_EQ(AM.counters().Invalidations, 1u);
   AM.getResult<analysis::CFGAnalysis>(F);
   EXPECT_EQ(AM.counters().Misses, 2u);
+
+  // Every entry counts once, block weights included; an empty cache
+  // counts nothing.
+  AM.getResult<analysis::RDGAnalysis>(F); // + reaching-defs + rdg.
+  AM.blockWeights(*M, nullptr);
+  AM.invalidate();
+  EXPECT_EQ(AM.counters().Invalidations, 5u);
+  EXPECT_EQ(AM.countersByAnalysis().at("block-weights").Invalidations, 1u);
+  AM.invalidate();
+  EXPECT_EQ(AM.counters().Invalidations, 5u);
 }
 
-TEST(AnalysisManagerTest, DependentsInvalidatedTransitively) {
+TEST(AnalysisManagerTest, InvalidateFunctionKeepsOtherEntries) {
   auto M = parse(fixtures::InvalidateForCall);
   M->renumber();
-  sir::Function *F = M->functionByName("main");
-  ASSERT_NE(F, nullptr);
+  ASSERT_GE(M->functions().size(), 2u);
+  sir::Function &F = *M->functions()[0];
+  sir::Function &G = *M->functions()[1];
 
   analysis::AnalysisManager AM;
-  AM.getResult<analysis::RDGAnalysis>(*F); // Computes cfg + rd + rdg.
+  AM.getResult<analysis::RDGAnalysis>(F); // cfg + reaching-defs + rdg.
+  AM.getResult<analysis::CFGAnalysis>(G);
+  const analysis::BlockWeights &W = AM.blockWeights(*M, nullptr);
 
-  // A pass claims it preserved the RDG but not the CFG it was built
-  // from: the manager must drop the RDG anyway (its pointers reach
-  // into CFG-derived state).
-  analysis::PreservedAnalyses KeepRdg;
-  KeepRdg.preserve<analysis::RDGAnalysis>();
-  AM.invalidate(KeepRdg);
-
-  const uint64_t MissesBefore = AM.counters().Misses;
-  AM.getResult<analysis::RDGAnalysis>(*F);
-  EXPECT_GT(AM.counters().Misses, MissesBefore)
-      << "rdg survived invalidation of its cfg dependency";
+  // Dropping F drops all three of its entries and nothing else.
+  AM.invalidateFunction(F);
+  EXPECT_EQ(AM.counters().Invalidations, 3u);
+  const uint64_t Hits = AM.counters().Hits;
+  AM.getResult<analysis::CFGAnalysis>(G);
+  EXPECT_EQ(&AM.blockWeights(*M, nullptr), &W);
+  EXPECT_EQ(AM.counters().Hits, Hits + 2);
 }
 
 TEST(AnalysisManagerTest, LivenessWrapperSharesCfg) {
@@ -281,13 +289,14 @@ std::string legacyCompile(const sir::Module &Original,
   ProfOpts.CollectProfile = true;
   vm::VM Trainer(*M, ProfOpts);
   Trainer.run(Config.TrainArgs);
+  analysis::AnalysisManager AM;
   partition::ModuleRewrite RW = partition::partitionModule(
-      *M, Config.Scheme, &Trainer.profile(), Config.Costs);
+      *M, Config.Scheme, &Trainer.profile(), Config.Costs, AM);
   if (Config.EnableFpArgPassing &&
       Config.Scheme == partition::Scheme::Advanced)
     partition::passArgsInFpRegisters(*M, RW);
   if (Config.RunRegisterAllocation)
-    regalloc::allocateModule(*M);
+    regalloc::allocateModule(*M, AM);
   return sir::toString(*M);
 }
 
@@ -367,6 +376,116 @@ TEST(PassPipeline, PerPassTelemetryIsRecorded) {
   // Regalloc shares the manager: its CFG fetch for each function it
   // lowers is a fresh miss (the IR changed), never a stale reuse.
   EXPECT_GT(Run.PassStats[4].AnalysisMisses, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The production pipeline's analysis counters. These are the
+// passes[].analysis_* fields of the Figure 9 golden
+// (scripts/golden/fig9_speedup_4way.json): the cache the pipeline
+// shares across passes must not start missing, hitting or dropping
+// more than it does.
+//===----------------------------------------------------------------------===//
+
+struct CounterRow {
+  unsigned Changes;
+  uint64_t Hits, Misses, Invalidations;
+};
+
+CounterRow rowOf(const PipelineRun &Run, const std::string &Name) {
+  for (const PassStat &P : Run.PassStats)
+    if (P.Name == Name)
+      return {P.Changes, P.AnalysisHits, P.AnalysisMisses,
+              P.AnalysisInvalidations};
+  ADD_FAILURE() << "no pass " << Name;
+  return {};
+}
+
+void expectRow(const PipelineRun &Run, const std::string &Name,
+               CounterRow Want) {
+  CounterRow Got = rowOf(Run, Name);
+  EXPECT_EQ(Got.Changes, Want.Changes) << Name;
+  EXPECT_EQ(Got.Hits, Want.Hits) << Name;
+  EXPECT_EQ(Got.Misses, Want.Misses) << Name;
+  EXPECT_EQ(Got.Invalidations, Want.Invalidations) << Name;
+}
+
+TEST(PassPipeline, CompressAnalysisCountersMatchGolden) {
+  workloads::Workload W = workloads::workloadByName("compress");
+  auto Compile = [&](partition::Scheme S) {
+    PipelineConfig Config;
+    Config.Scheme = S;
+    Config.TrainArgs = W.TrainArgs;
+    Config.RefArgs = W.RefArgs;
+    PipelineRun Run = compileAndMeasure(*W.M, Config);
+    EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
+    return Run;
+  };
+
+  PipelineRun Advanced = Compile(partition::Scheme::Advanced);
+  expectRow(Advanced, "partition", {6, 2, 7, 7});
+  expectRow(Advanced, "regalloc", {10, 2, 6, 6});
+
+  PipelineRun Basic = Compile(partition::Scheme::Basic);
+  expectRow(Basic, "partition", {2, 2, 7, 7});
+  expectRow(Basic, "regalloc", {10, 2, 6, 6});
+
+  PipelineRun Conventional = Compile(partition::Scheme::None);
+  expectRow(Conventional, "partition", {0, 0, 0, 0});
+  expectRow(Conventional, "regalloc", {10, 2, 6, 6});
+}
+
+//===----------------------------------------------------------------------===//
+// Pipeline misuse is a typed compile error.
+//===----------------------------------------------------------------------===//
+
+std::unique_ptr<sir::Module> parseCorpus(const char *Rel) {
+  std::ifstream In(std::string(FPINT_SOURCE_DIR) + "/tests/corpus/" + Rel);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  EXPECT_FALSE(Text.str().empty()) << Rel;
+  return parse(Text.str().c_str());
+}
+
+/// Compiles corpus file \p Rel with pipeline \p Passes, expecting a
+/// fatal compile error whose first message is \p Want.
+void expectMisuse(const char *Rel, const char *Passes, const char *Want) {
+  auto M = parseCorpus(Rel);
+  PipelineConfig Config;
+  Config.Passes = Passes;
+  PipelineRun Run = compileAndMeasure(*M, Config);
+  ASSERT_FALSE(Run.ok()) << Rel << " " << Passes;
+  ASSERT_FALSE(Run.Errors.empty());
+  EXPECT_EQ(Run.Errors[0], Want) << Rel << " " << Passes;
+}
+
+TEST(PassPipeline, PartitioningTwiceIsACompileError) {
+  expectMisuse("transform/mixed_midend.sir", "opt2,opt2",
+               "partition: module is already partitioned");
+  expectMisuse("transform/gvn_chain.sir",
+               "profile,partition,partition,regalloc",
+               "partition: module is already partitioned");
+  expectMisuse("transform/licm_hoist.sir",
+               "profile,partition,partition,regalloc",
+               "partition: module is already partitioned");
+}
+
+TEST(PassPipeline, PartitioningAfterRegAllocIsACompileError) {
+  expectMisuse("transform/inline_chain.sir", "profile,regalloc,partition",
+               "partition: module is already register-allocated");
+  expectMisuse("transform/unroll_partial.sir",
+               "profile,regalloc,partition-basic",
+               "partition: module is already register-allocated");
+}
+
+TEST(PassPipeline, ConventionalPartitionPassStaysANoOp) {
+  // "partition" under the conventional scheme never rewrites, so it
+  // may follow anything, and a real scheme may follow it.
+  auto M = parseCorpus("transform/mixed_midend.sir");
+  PipelineConfig Config;
+  Config.Scheme = partition::Scheme::None;
+  Config.Passes = "profile,partition,partition-advanced,regalloc";
+  PipelineRun Run = compileAndMeasure(*M, Config);
+  EXPECT_TRUE(Run.ok()) << (Run.Errors.empty() ? "?" : Run.Errors[0]);
 }
 
 //===----------------------------------------------------------------------===//

@@ -32,7 +32,8 @@ std::unique_ptr<Module>
 allocateAndCheckWith(const std::string &Allocator, const Module &Original,
                      ModuleAlloc *OutAlloc = nullptr) {
   auto M = Original.clone();
-  ModuleAlloc Alloc = allocateModuleWith(Allocator, *M);
+  analysis::AnalysisManager AM;
+  ModuleAlloc Alloc = allocateModuleWith(Allocator, *M, AM);
   EXPECT_TRUE(Alloc.Errors.empty()) << Alloc.Errors[0];
   auto Verify = verify(*M);
   EXPECT_TRUE(Verify.empty()) << Verify[0] << "\n" << toString(*M);
@@ -208,8 +209,10 @@ TEST(RegAlloc, PartitionedCodeAllocatesBothFiles) {
   ProfOpts.CollectProfile = true;
   vm::VM Prof(*M, ProfOpts);
   ASSERT_TRUE(Prof.run().Ok);
+  analysis::AnalysisManager AM;
   auto RW = partition::partitionModule(*M, partition::Scheme::Advanced,
-                                       &Prof.profile());
+                                       &Prof.profile(),
+                                       partition::CostParams(), AM);
   ASSERT_TRUE(RW.Errors.empty());
 
   ModuleAlloc Alloc;
@@ -342,8 +345,10 @@ TEST_P(RegAllocProperty, RandomProgramsStayEquivalent) {
   ProfOpts.CollectProfile = true;
   vm::VM Prof(*M2, ProfOpts);
   ASSERT_TRUE(Prof.run().Ok);
+  analysis::AnalysisManager AM;
   auto RW = partition::partitionModule(*M2, partition::Scheme::Advanced,
-                                       &Prof.profile());
+                                       &Prof.profile(),
+                                       partition::CostParams(), AM);
   ASSERT_TRUE(RW.Errors.empty()) << RW.Errors[0];
   auto A2 = allocateAndCheck(*M2);
   auto Run2 = vm::runModule(*A2);
@@ -489,34 +494,6 @@ entry:
   EXPECT_EQ(AM.countersByAnalysis().at("cfg").Misses, 2u);
 }
 
-TEST(LiveIntervals, DependencyInvalidationCascades) {
-  auto M = parseOrDie(R"(
-func main() {
-entry:
-  li %a, 1
-  out %a
-  ret
-}
-)");
-  Function *F = M->functionByName("main");
-  F->renumber();
-  analysis::AnalysisManager AM;
-  AM.getResult<LiveIntervalsAnalysis>(*F);
-
-  // A pass that preserves live-intervals by name but not liveness
-  // still drops the intervals: they depended on a dropped entry.
-  analysis::PreservedAnalyses PA;
-  PA.preserve<LiveIntervalsAnalysis>();
-  PA.preserve<analysis::CFGAnalysis>();
-  AM.invalidate(PA);
-  AM.getResult<LiveIntervalsAnalysis>(*F);
-  const auto &ByName = AM.countersByAnalysis();
-  EXPECT_EQ(ByName.at("live-intervals").Misses, 2u);
-  // The preserved CFG survived and was a hit on recompute.
-  EXPECT_EQ(ByName.at("cfg").Misses, 1u);
-  EXPECT_GE(ByName.at("cfg").Hits, 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // The backend table and backend selection.
 //===----------------------------------------------------------------------===//
@@ -542,7 +519,8 @@ entry:
   ret
 }
 )");
-  ModuleAlloc Alloc = allocateModuleWith("regalloc-bogus", *M);
+  analysis::AnalysisManager AM;
+  ModuleAlloc Alloc = allocateModuleWith("regalloc-bogus", *M, AM);
   ASSERT_EQ(Alloc.Errors.size(), 1u);
   EXPECT_NE(Alloc.Errors[0].find("regalloc-bogus"), std::string::npos);
   EXPECT_TRUE(Alloc.Funcs.empty());
@@ -560,7 +538,8 @@ entry:
 }
 )");
   auto C = M->clone();
-  ModuleAlloc Alloc = allocateModuleWith("", *C);
+  analysis::AnalysisManager AM;
+  ModuleAlloc Alloc = allocateModuleWith("", *C, AM);
   EXPECT_TRUE(Alloc.Errors.empty());
   EXPECT_EQ(Alloc.AllocatorName, std::string(defaultAllocatorName()));
 }
@@ -674,8 +653,10 @@ TEST(LinearScan, FpaPartitionConstraintsHonored) {
   ProfOpts.CollectProfile = true;
   vm::VM Prof(*M, ProfOpts);
   ASSERT_TRUE(Prof.run().Ok);
+  analysis::AnalysisManager AM;
   auto RW = partition::partitionModule(*M, partition::Scheme::Advanced,
-                                       &Prof.profile());
+                                       &Prof.profile(),
+                                       partition::CostParams(), AM);
   ASSERT_TRUE(RW.Errors.empty());
 
   ModuleAlloc Alloc;

@@ -531,6 +531,23 @@ TEST(ServeTest, DeeplyNestedPipelineTextIsBadRequestAndServerSurvives) {
   EXPECT_EQ(Ping.Status, "ok");
 }
 
+TEST(ServeTest, PartitioningTwiceIsCompileErrorAndServerSurvives) {
+  // opt2 ends in partition and regalloc, so "opt2,opt2" partitions an
+  // allocated, partitioned module: a typed error, answered in-process.
+  TempDir Dir("server_opt2_twice");
+  Server S(quickOptions(Dir.Path, /*Sandbox=*/false));
+  Parsed Bad = parseResponse(
+      S.handleRequest(requestWithPipeline("{\"passes\": \"opt2,opt2\"}")));
+  EXPECT_EQ(Bad.ErrorKind, "compile_error") << Bad.Body;
+  EXPECT_NE(Bad.Body.find("partition: module is already partitioned"),
+            std::string::npos)
+      << Bad.Body;
+  EXPECT_EQ(S.counters().SandboxDeaths, 0u);
+
+  Parsed Ping = parseResponse(S.handleRequest("{\"op\": \"ping\"}"));
+  EXPECT_EQ(Ping.Status, "ok");
+}
+
 TEST(ServeTest, DeeplyNestedRequestIsBadRequestAndServerSurvives) {
   TempDir Dir("server_nested");
   Server S(quickOptions(Dir.Path, /*Sandbox=*/false));

@@ -28,15 +28,18 @@
 #include "regalloc/Allocator.h"
 #include "sir/Parser.h"
 #include "sir/Printer.h"
+#include "support/Subprocess.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,9 +192,17 @@ int main(int argc, char **argv) {
     } else if (const char *V = Value("--dot=")) {
       DotFunc = V;
     } else if (const char *V = Value("--simulate=")) {
+      if (std::strcmp(V, "4way") && std::strcmp(V, "8way")) {
+        std::fprintf(stderr, "fpintc: unknown machine '%s'\n", V);
+        usage();
+        return 2;
+      }
       SimMachine = V;
     } else if (const char *V = Value("--trace=")) {
-      TraceCount = static_cast<unsigned>(std::atoi(V));
+      std::optional<uint64_t> N = support::parseDecimal(V, 0, UINT_MAX);
+      if (!N)
+        return badNumber(Arg);
+      TraceCount = static_cast<unsigned>(*N);
     } else if (const char *V = Value("--args=")) {
       if (!parseIntList(V, Args)) {
         std::fprintf(stderr, "fpintc: bad --args list\n");
